@@ -10,14 +10,10 @@
 //! frequency roll-off, and applying it per-edge on real data produces the
 //! data-dependent jitter the paper observes at 6.4 Gb/s.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::block::{AnalogBlock, EdgeTransform};
-use crate::fingerprint::Fingerprint;
 use vardelay_measure::MeasureDelayError;
-use vardelay_obs as obs;
 use vardelay_runner::Runner;
 use vardelay_siggen::{BitPattern, EdgeStream, SplitMix64};
 use vardelay_units::{BitRate, Time, Voltage};
@@ -84,14 +80,34 @@ impl std::error::Error for CharacterizeError {
     }
 }
 
-/// A measured `delay(vctrl, preceding-interval)` lookup table with
-/// bilinear interpolation and boundary clamping.
-#[derive(Debug, Clone, PartialEq)]
+/// Measures one cell of an on-demand [`DelayTable`]: the delay at a
+/// `(vctrl, interval)` grid point.
+type CellMeasure = dyn Fn(Voltage, Time) -> Result<Time, CharacterizeError> + Send + Sync;
+
+/// Where an on-demand table's missing cells come from.
+#[derive(Clone)]
+struct CellSource {
+    measure: Arc<CellMeasure>,
+    /// Fans out a batch of missing cells.
+    runner: Runner,
+}
+
+/// A `delay(vctrl, preceding-interval)` lookup table with bilinear
+/// interpolation and boundary clamping.
+///
+/// Cells are either given up front ([`DelayTable::new`]) or measured the
+/// first time they are read ([`DelayTable::on_demand`]), the way a bench
+/// measures only the grid points an experiment needs. Clones share their
+/// cells, so a cell measured through one clone is known to all.
+#[derive(Debug, Clone)]
 pub struct DelayTable {
     vctrls: Vec<Voltage>,
     intervals: Vec<Time>,
-    /// `delays[i][j]` is the mean delay at `vctrls[i]`, `intervals[j]`.
-    delays: Vec<Vec<Time>>,
+    /// Row-major: cell `i * intervals.len() + j` is the mean delay at
+    /// `vctrls[i]`, `intervals[j]`.
+    cells: Arc<[OnceLock<Time>]>,
+    /// `None` for a table built from measured values: every cell is set.
+    source: Option<CellSource>,
 }
 
 impl DelayTable {
@@ -102,18 +118,7 @@ impl DelayTable {
     /// Panics if grids are empty, unsorted, or the value matrix has the
     /// wrong shape.
     pub fn new(vctrls: Vec<Voltage>, intervals: Vec<Time>, delays: Vec<Vec<Time>>) -> Self {
-        assert!(
-            !vctrls.is_empty() && !intervals.is_empty(),
-            "grids must be non-empty"
-        );
-        assert!(
-            vctrls.windows(2).all(|w| w[0] < w[1]),
-            "vctrl grid must be strictly ascending"
-        );
-        assert!(
-            intervals.windows(2).all(|w| w[0] < w[1]),
-            "interval grid must be strictly ascending"
-        );
+        check_grids(&vctrls, &intervals);
         assert_eq!(delays.len(), vctrls.len(), "one delay row per vctrl");
         assert!(
             delays.iter().all(|row| row.len() == intervals.len()),
@@ -122,7 +127,38 @@ impl DelayTable {
         DelayTable {
             vctrls,
             intervals,
-            delays,
+            cells: delays.into_iter().flatten().map(OnceLock::from).collect(),
+            source: None,
+        }
+    }
+
+    /// A table whose cells are measured by `measure` the first time they
+    /// are read. A batch of missing cells ([`DelayTable::prefetch`]) fans
+    /// out on `runner`; `measure` must be a pure function of its grid
+    /// point, so the table equals the eagerly measured one cell for cell.
+    /// A cell that fails to measure panics the read with the error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if grids are empty or unsorted.
+    pub fn on_demand(
+        vctrls: Vec<Voltage>,
+        intervals: Vec<Time>,
+        runner: Runner,
+        measure: impl Fn(Voltage, Time) -> Result<Time, CharacterizeError> + Send + Sync + 'static,
+    ) -> Self {
+        check_grids(&vctrls, &intervals);
+        let cells = (0..vctrls.len() * intervals.len())
+            .map(|_| OnceLock::new())
+            .collect();
+        DelayTable {
+            vctrls,
+            intervals,
+            cells,
+            source: Some(CellSource {
+                measure: Arc::new(measure),
+                runner,
+            }),
         }
     }
 
@@ -136,24 +172,86 @@ impl DelayTable {
         &self.intervals
     }
 
+    /// The grid cells bracketing `x` and the weight of the upper one. A
+    /// zero weight brackets with the lower cell twice, so the upper cell
+    /// is never read: `low + (high − low)·0` is `low` for every finite
+    /// cell but `-0.0`, which no measured delay is.
     fn bracket<T>(grid: &[T], x: T) -> (usize, usize, f64)
     where
         T: Copy + PartialOrd + core::ops::Sub<Output = T> + core::ops::Div<T, Output = f64>,
     {
-        if grid.len() == 1 {
-            return (0, 0, 0.0);
-        }
-        let mut i = grid.partition_point(|&g| g <= x);
+        let i = grid.partition_point(|&g| g <= x);
         if i == 0 {
             return (0, 0, 0.0);
         }
         if i >= grid.len() {
-            i = grid.len();
-            return (i - 1, i - 1, 0.0);
+            return (grid.len() - 1, grid.len() - 1, 0.0);
         }
         let (lo, hi) = (i - 1, i);
-        let frac = (x - grid[lo]) / (grid[hi] - grid[lo]);
-        (lo, hi, frac.clamp(0.0, 1.0))
+        let frac = ((x - grid[lo]) / (grid[hi] - grid[lo])).clamp(0.0, 1.0);
+        if frac == 0.0 {
+            return (lo, lo, 0.0);
+        }
+        (lo, hi, frac)
+    }
+
+    /// The cell at `vctrls[row]`, `intervals[col]`, measured now if this
+    /// is its first read.
+    fn cell(&self, row: usize, col: usize) -> Time {
+        *self.cells[row * self.intervals.len() + col].get_or_init(|| {
+            let source = self
+                .source
+                .as_ref()
+                .expect("a measured table has every cell");
+            (source.measure)(self.vctrls[row], self.intervals[col])
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+    }
+
+    /// Measures the missing cells among `cells` (row-major indices) in one
+    /// fan-out.
+    fn fill(&self, cells: impl Iterator<Item = usize>) {
+        let Some(source) = &self.source else {
+            return;
+        };
+        let missing: Vec<usize> = cells.filter(|&k| self.cells[k].get().is_none()).collect();
+        let n = self.intervals.len();
+        let measured = source.runner.par_map(&missing, |_, &k| {
+            (source.measure)(self.vctrls[k / n], self.intervals[k % n])
+        });
+        for (k, delay) in missing.into_iter().zip(measured) {
+            // A concurrent reader may have set the cell first; both
+            // measured the same pure function.
+            let _ = self.cells[k].set(delay.unwrap_or_else(|e| panic!("{e}")));
+        }
+    }
+
+    /// Measures, in one fan-out, every missing cell that
+    /// [`DelayTable::delay_at`] will read for these points.
+    pub fn prefetch(&self, points: &[(Voltage, Time)]) {
+        if self.source.is_none() {
+            return;
+        }
+        let n = self.intervals.len();
+        let mut wanted = vec![false; self.cells.len()];
+        for &(vctrl, interval) in points {
+            let (v0, v1, _) = Self::bracket(&self.vctrls, vctrl);
+            let (i0, i1, _) = Self::bracket(&self.intervals, interval);
+            for k in [v0 * n + i0, v0 * n + i1, v1 * n + i0, v1 * n + i1] {
+                wanted[k] = true;
+            }
+        }
+        self.fill((0..wanted.len()).filter(|&k| wanted[k]));
+    }
+
+    /// Every cell, `delays[i][j]` at `vctrls[i]`, `intervals[j]`,
+    /// measuring the missing ones in one fan-out.
+    pub fn delays(&self) -> Vec<Vec<Time>> {
+        self.fill(0..self.cells.len());
+        self.cells
+            .chunks(self.intervals.len())
+            .map(|row| row.iter().map(|c| *c.get().expect("filled")).collect())
+            .collect()
     }
 
     /// Looks up the delay with bilinear interpolation, clamping outside the
@@ -161,95 +259,69 @@ impl DelayTable {
     pub fn delay_at(&self, vctrl: Voltage, interval: Time) -> Time {
         let (v0, v1, fv) = Self::bracket(&self.vctrls, vctrl);
         let (i0, i1, fi) = Self::bracket(&self.intervals, interval);
-        let d00 = self.delays[v0][i0];
-        let d01 = self.delays[v0][i1];
-        let d10 = self.delays[v1][i0];
-        let d11 = self.delays[v1][i1];
+        let d00 = self.cell(v0, i0);
+        let d01 = self.cell(v0, i1);
+        let d10 = self.cell(v1, i0);
+        let d11 = self.cell(v1, i1);
         let low = d00 + (d01 - d00) * fi;
         let high = d10 + (d11 - d10) * fi;
         low + (high - low) * fv
     }
+}
 
-    /// The delay-vs-`Vctrl` curve at one preceding interval: one
-    /// `(vctrl, delay)` point per grid voltage, interpolated across the
-    /// interval axis. This is the cache-backed solve entry point the
-    /// calibration path uses — a table memoized by
-    /// [`measure_delay_table_cached`] answers every later curve request
-    /// without re-measuring, so concurrent consumers (e.g. the
-    /// `vardelay-serve` channels) share one characterization.
-    pub fn curve_at(&self, interval: Time) -> Vec<(Voltage, Time)> {
-        self.vctrls
-            .iter()
-            .map(|&v| (v, self.delay_at(v, interval)))
-            .collect()
-    }
+fn check_grids(vctrls: &[Voltage], intervals: &[Time]) {
+    assert!(
+        !vctrls.is_empty() && !intervals.is_empty(),
+        "grids must be non-empty"
+    );
+    assert!(
+        vctrls.windows(2).all(|w| w[0] < w[1]),
+        "vctrl grid must be strictly ascending"
+    );
+    assert!(
+        intervals.windows(2).all(|w| w[0] < w[1]),
+        "interval grid must be strictly ascending"
+    );
+}
 
-    /// The measured delay span (max − min across the whole table).
-    pub fn delay_span(&self) -> Time {
-        let mut lo = Time::from_s(f64::INFINITY);
-        let mut hi = Time::from_s(f64::NEG_INFINITY);
-        for row in &self.delays {
-            for &d in row {
-                lo = lo.min(d);
-                hi = hi.max(d);
-            }
-        }
-        hi - lo
+/// Equal grids and equal cells; compares every cell, measuring the
+/// missing ones.
+impl PartialEq for DelayTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.vctrls == other.vctrls
+            && self.intervals == other.intervals
+            && self.delays() == other.delays()
     }
 }
 
-/// Measures a `delay(vctrl, interval)` table by driving a freshly-built
-/// chain with toggling clock stimuli, exactly as on the bench.
+impl core::fmt::Debug for CellSource {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("on demand")
+    }
+}
+
+/// Measures a `delay(vctrl, interval)` table of an arbitrary chain by
+/// driving a freshly-built copy with toggling clock stimuli, exactly as on
+/// the bench. Eager and uncached: every cell is measured now.
 ///
 /// For every grid point the chain is rebuilt by `build(vctrl)` (so noise
 /// seeds and filter states reset), driven with a 1010… pattern whose bit
 /// period equals the interval, and the mean delay over the steady-state
 /// tail of the capture is recorded. Chains built for characterization
-/// should disable voltage noise so the table is a clean mean.
-///
-/// # Panics
-///
-/// Panics if the grids are empty or if a chain output produces no
-/// measurable crossings at some grid point (signal completely lost).
-pub fn measure_delay_table(
-    build: &(dyn Fn(Voltage) -> Box<dyn AnalogBlock + Send> + Sync),
-    vctrls: &[Voltage],
-    intervals: &[Time],
-    render: &RenderConfig,
-) -> DelayTable {
-    measure_delay_table_with(Runner::global(), build, vctrls, intervals, render)
-}
-
-/// [`measure_delay_table`] on an explicit [`Runner`] (used by the
-/// determinism regression tests to force thread counts).
-///
-/// Every grid cell builds its own chain from scratch and shares no state
-/// with any other cell, so the fan-out is bit-identical to the serial
-/// nested loop at every thread count.
-pub fn measure_delay_table_with(
-    runner: Runner,
-    build: &(dyn Fn(Voltage) -> Box<dyn AnalogBlock + Send> + Sync),
-    vctrls: &[Voltage],
-    intervals: &[Time],
-    render: &RenderConfig,
-) -> DelayTable {
-    match try_measure_delay_table_with(runner, build, vctrls, intervals, render) {
-        Ok(table) => table,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`measure_delay_table`] returning a typed error instead of panicking
-/// when a grid point carries no measurable signal — the entry point for
-/// fault-tolerant callers (a dead-driver channel under fault injection
-/// yields `Err`, and the channel can be quarantined rather than taking
-/// the worker down).
+/// should disable voltage noise so the table is a clean mean. A grid
+/// point that carries no measurable signal is a typed error, so a
+/// dead-driver channel under fault injection can be quarantined rather
+/// than taking the worker down.
 ///
 /// # Errors
 ///
 /// Returns [`CharacterizeError`] for the first grid point (in row-major
 /// `vctrls × intervals` order) whose output lost the signal or could not
 /// be paired into a delay.
+///
+/// # Panics
+///
+/// Panics if the grids are empty.
 pub fn try_measure_delay_table(
     build: &(dyn Fn(Voltage) -> Box<dyn AnalogBlock + Send> + Sync),
     vctrls: &[Voltage],
@@ -259,7 +331,10 @@ pub fn try_measure_delay_table(
     try_measure_delay_table_with(Runner::global(), build, vctrls, intervals, render)
 }
 
-/// [`try_measure_delay_table`] on an explicit [`Runner`].
+/// [`try_measure_delay_table`] on an explicit [`Runner`]. Every grid
+/// cell builds its own chain from scratch and shares no state with any
+/// other cell, so the fan-out is bit-identical to the serial nested loop
+/// at every thread count.
 ///
 /// # Errors
 ///
@@ -316,144 +391,6 @@ pub fn try_measure_delay_table_with(
     Ok(DelayTable::new(vctrls.to_vec(), intervals.to_vec(), delays))
 }
 
-// ---------------------------------------------------------------------------
-// Characterization cache
-// ---------------------------------------------------------------------------
-
-/// One cache entry: a per-key single-flight slot. The first caller to
-/// reach `get_or_init` measures; racing callers for the same key block
-/// inside the `OnceLock` until the table exists instead of launching a
-/// duplicate `vctrls × intervals` waveform sweep (the cache-stampede
-/// bug: both racers used to measure *and* both counted a miss).
-type CacheSlot = Arc<OnceLock<Arc<DelayTable>>>;
-
-fn cache() -> &'static Mutex<HashMap<u64, CacheSlot>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, CacheSlot>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-static SINGLE_FLIGHT_WAITS: AtomicU64 = AtomicU64::new(0);
-
-fn cache_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("VARDELAY_NO_CACHE").is_none())
-}
-
-/// `(hits, misses)` counters of the process-wide characterization cache.
-/// A miss is counted once per *measurement*, not once per caller — a
-/// racer that waited for another thread's in-flight measurement counts
-/// under [`characterization_single_flight_waits`] instead.
-pub fn characterization_cache_stats() -> (u64, u64) {
-    (
-        CACHE_HITS.load(Ordering::Relaxed),
-        CACHE_MISSES.load(Ordering::Relaxed),
-    )
-}
-
-/// How many cache lookups blocked on another thread's in-flight
-/// measurement of the same key (and were spared a duplicate sweep).
-pub fn characterization_single_flight_waits() -> u64 {
-    SINGLE_FLIGHT_WAITS.load(Ordering::Relaxed)
-}
-
-/// Empties the characterization cache (counters are left running). Meant
-/// for tests and for benchmarks that need a cold start. Threads already
-/// waiting on an in-flight measurement keep their slot and complete
-/// normally; only future lookups start cold.
-pub fn clear_characterization_cache() {
-    cache().lock().expect("cache lock").clear();
-}
-
-/// [`measure_delay_table`], memoized on `(model_key, grids, render)`.
-///
-/// `model_key` must fingerprint **everything** `build` closes over that
-/// can influence the measurement (see `ModelConfig::fingerprint` in
-/// `vardelay-core`, and DESIGN.md §8 for the invalidation rule); the grid
-/// values and render settings are folded in here. On a hit the stored
-/// table is cloned and `build` is never called. Disable with the
-/// `VARDELAY_NO_CACHE` environment variable (checked once per process).
-pub fn measure_delay_table_cached(
-    model_key: u64,
-    build: &(dyn Fn(Voltage) -> Box<dyn AnalogBlock + Send> + Sync),
-    vctrls: &[Voltage],
-    intervals: &[Time],
-    render: &RenderConfig,
-) -> DelayTable {
-    measure_delay_table_cached_with(
-        Runner::global(),
-        model_key,
-        build,
-        vctrls,
-        intervals,
-        render,
-    )
-}
-
-/// [`measure_delay_table_cached`] on an explicit [`Runner`].
-pub fn measure_delay_table_cached_with(
-    runner: Runner,
-    model_key: u64,
-    build: &(dyn Fn(Voltage) -> Box<dyn AnalogBlock + Send> + Sync),
-    vctrls: &[Voltage],
-    intervals: &[Time],
-    render: &RenderConfig,
-) -> DelayTable {
-    if !cache_enabled() {
-        return measure_delay_table_with(runner, build, vctrls, intervals, render);
-    }
-    let mut fp = Fingerprint::new();
-    fp.push_u64(model_key);
-    fp.push_usize(vctrls.len());
-    for v in vctrls {
-        fp.push_f64(v.as_v());
-    }
-    fp.push_usize(intervals.len());
-    for i in intervals {
-        fp.push_f64(i.as_s());
-    }
-    fp.push_f64(render.dt.as_s())
-        .push_f64(render.swing.as_v())
-        .push_f64(render.rise_time.as_s())
-        .push_f64(render.padding.as_s());
-    let key = fp.finish();
-
-    // The map lock is held only long enough to fetch/insert the per-key
-    // slot; the measurement itself runs inside the slot's `OnceLock`, so
-    // misses on *different* keys never serialize each other, while
-    // racing misses on the *same* key single-flight: one thread measures,
-    // the rest block until the table exists.
-    let slot: CacheSlot = cache()
-        .lock()
-        .expect("cache lock")
-        .entry(key)
-        .or_default()
-        .clone();
-    if let Some(table) = slot.get() {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.cache_hits").incr();
-        return DelayTable::clone(table);
-    }
-    let mut measured_here = false;
-    let table = slot.get_or_init(|| {
-        // Runs exactly once per slot no matter how many callers race, so
-        // the miss count equals the measurement count by construction.
-        measured_here = true;
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.cache_misses").incr();
-        let _span = obs::span("analog.characterize_miss_us");
-        Arc::new(measure_delay_table_with(
-            runner, build, vctrls, intervals, render,
-        ))
-    });
-    if !measured_here {
-        SINGLE_FLIGHT_WAITS.fetch_add(1, Ordering::Relaxed);
-        obs::counter("analog.single_flight_waits").incr();
-    }
-    DelayTable::clone(table)
-}
-
 /// A table-driven edge-domain delay element with per-edge random jitter —
 /// the fast model of a characterized chain.
 #[derive(Debug, Clone)]
@@ -508,6 +445,9 @@ impl CharacterizedDelay {
         input.with_times(&times)
     }
 
+    /// Delays every edge by the table at its control voltage and
+    /// preceding interval. The cells those edges bracket are measured
+    /// first, in one fan-out, so a cold on-demand table fills in parallel.
     fn displaced_times(
         &mut self,
         input: &EdgeStream,
@@ -528,14 +468,23 @@ impl CharacterizedDelay {
             _ => long,
         };
         let mut prev: Option<Time> = None;
-        input
+        let points: Vec<(Voltage, Time)> = input
             .edges()
             .iter()
             .enumerate()
             .map(|(i, e)| {
                 let interval = prev.map_or(first_interval, |p| e.time - p);
                 prev = Some(e.time);
-                let mut d = self.table.delay_at(vctrl_of(i), interval);
+                (vctrl_of(i), interval)
+            })
+            .collect();
+        self.table.prefetch(&points);
+        input
+            .edges()
+            .iter()
+            .zip(points)
+            .map(|(e, (vctrl, interval))| {
+                let mut d = self.table.delay_at(vctrl, interval);
                 if self.rj_sigma > Time::ZERO {
                     d += self.rj_sigma * self.rng.gaussian();
                 }
@@ -563,16 +512,6 @@ mod tests {
     use crate::tline::TransmissionLine;
     use crate::vga_buffer::{VgaBuffer, VgaBufferConfig};
 
-    /// Tests that assert on the global hit/miss/wait counters must not
-    /// interleave with other cache-touching tests in this binary.
-    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-    fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
-        COUNTER_LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn table_2x2() -> DelayTable {
         DelayTable::new(
             vec![Voltage::from_v(0.0), Voltage::from_v(1.0)],
@@ -597,21 +536,17 @@ mod tests {
     }
 
     #[test]
-    fn delay_span() {
-        assert!((table_2x2().delay_span().as_ps() - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn measured_table_of_a_pure_line_is_flat() {
         let build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
             Box::new(TransmissionLine::new(Time::from_ps(33.0)))
         };
-        let table = measure_delay_table(
+        let table = try_measure_delay_table(
             &build,
             &[Voltage::ZERO, Voltage::from_v(1.5)],
             &[Time::from_ps(500.0), Time::from_ps(1000.0)],
             &RenderConfig::default_source(),
-        );
+        )
+        .expect("a line passes the stimulus");
         for v in table.vctrls() {
             for i in table.intervals() {
                 let d = table.delay_at(*v, *i);
@@ -629,12 +564,13 @@ mod tests {
             buf.set_vctrl(v);
             Box::new(buf)
         };
-        let table = measure_delay_table(
+        let table = try_measure_delay_table(
             &build,
             &[Voltage::ZERO, Voltage::from_v(0.75), Voltage::from_v(1.5)],
             &[Time::from_ps(1000.0)],
             &RenderConfig::default_source(),
-        );
+        )
+        .expect("the buffer passes the stimulus");
         let long = Time::from_ps(1000.0);
         let d_lo = table.delay_at(Voltage::ZERO, long);
         let d_hi = table.delay_at(Voltage::from_v(1.5), long);
@@ -680,140 +616,43 @@ mod tests {
         let vctrls = [Voltage::ZERO, Voltage::from_v(0.7), Voltage::from_v(1.5)];
         let intervals = [Time::from_ps(400.0), Time::from_ps(800.0)];
         let render = RenderConfig::default_source();
-        let serial =
-            measure_delay_table_with(Runner::serial(), &build, &vctrls, &intervals, &render);
+        let measure = |runner| {
+            try_measure_delay_table_with(runner, &build, &vctrls, &intervals, &render)
+                .expect("a line passes the stimulus")
+        };
+        let serial = measure(Runner::serial());
         for threads in [2, 4, 8] {
-            let parallel = measure_delay_table_with(
-                Runner::new(threads),
-                &build,
-                &vctrls,
-                &intervals,
-                &render,
-            );
+            let parallel = measure(Runner::new(threads));
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
 
     #[test]
-    fn cached_table_matches_uncached_and_hits_on_repeat() {
-        let _counters = counter_lock();
-        let build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
-            Box::new(TransmissionLine::new(Time::from_ps(11.0)))
-        };
-        let vctrls = [Voltage::ZERO, Voltage::from_v(1.0)];
-        let intervals = [Time::from_ps(600.0)];
-        let render = RenderConfig::default_source();
-        // A key private to this test so parallel tests cannot collide.
-        let key = 0xc0de_cafe_0000_0001;
-        let uncached = measure_delay_table(&build, &vctrls, &intervals, &render);
-        let first = measure_delay_table_cached(key, &build, &vctrls, &intervals, &render);
-        assert_eq!(first, uncached);
-        let (hits_before, _) = characterization_cache_stats();
-        let second = measure_delay_table_cached(key, &build, &vctrls, &intervals, &render);
-        assert_eq!(second, first);
-        if cache_enabled() {
-            let (hits_after, _) = characterization_cache_stats();
-            assert!(hits_after > hits_before, "repeat lookup should hit");
-        }
-    }
-
-    #[test]
-    fn cache_distinguishes_grids_and_keys() {
-        let _counters = counter_lock();
-        let build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
-            Box::new(TransmissionLine::new(Time::from_ps(5.0)))
-        };
-        let render = RenderConfig::default_source();
-        let key = 0xc0de_cafe_0000_0002;
-        let a = measure_delay_table_cached(
-            key,
-            &build,
-            &[Voltage::ZERO],
-            &[Time::from_ps(500.0)],
-            &render,
+    fn on_demand_cells_are_measured_once_when_first_read() {
+        let reads = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counted = Arc::clone(&reads);
+        let eager = table_2x2();
+        let table = DelayTable::on_demand(
+            eager.vctrls.clone(),
+            eager.intervals.clone(),
+            Runner::new(2),
+            move |v, i| {
+                counted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                Ok(table_2x2().delay_at(v, i))
+            },
         );
-        // Same key, different grid → different cache entry, correct grid out.
-        let b = measure_delay_table_cached(
-            key,
-            &build,
-            &[Voltage::ZERO],
-            &[Time::from_ps(900.0)],
-            &render,
-        );
-        assert_ne!(a.intervals(), b.intervals());
-    }
-
-    /// The cache-stampede regression test (ISSUE 2): two threads missing
-    /// on the same key must produce **one** measurement and **one**
-    /// counted miss; the loser waits for the winner's table instead of
-    /// re-running the full `vctrls × intervals` sweep.
-    ///
-    /// The barrier forces the race deterministically: the leader's build
-    /// closure blocks on the barrier *inside* the single-flight slot, and
-    /// the second thread only starts its lookup once the barrier has
-    /// released — i.e. provably while the first measurement is still in
-    /// flight.
-    #[test]
-    fn racing_identical_keys_measure_once_and_count_one_miss() {
-        if !cache_enabled() {
-            return; // VARDELAY_NO_CACHE=1: nothing to single-flight.
-        }
-        let _counters = counter_lock();
-        let key = 0xc0de_cafe_0000_0003;
-        let build_calls = std::sync::atomic::AtomicU64::new(0);
-        let barrier = std::sync::Barrier::new(2);
-        let vctrls = [Voltage::ZERO];
-        let intervals = [Time::from_ps(700.0)];
-        let render = RenderConfig::default_source();
-
-        let leader_build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
-            barrier.wait();
-            // Hold the measurement in flight long enough for the second
-            // thread to reach the cache and block on the slot.
-            std::thread::sleep(std::time::Duration::from_millis(200));
-            build_calls.fetch_add(1, Ordering::Relaxed);
-            Box::new(TransmissionLine::new(Time::from_ps(17.0)))
-        };
-        let racer_build = |_v: Voltage| -> Box<dyn AnalogBlock + Send> {
-            build_calls.fetch_add(1, Ordering::Relaxed);
-            Box::new(TransmissionLine::new(Time::from_ps(17.0)))
-        };
-
-        let (hits0, misses0) = characterization_cache_stats();
-        let waits0 = characterization_single_flight_waits();
-        let (a, b) = std::thread::scope(|scope| {
-            let leader = scope.spawn(|| {
-                measure_delay_table_cached(key, &leader_build, &vctrls, &intervals, &render)
-            });
-            let racer = scope.spawn(|| {
-                // Released exactly when the leader is inside its build
-                // closure, i.e. mid-measurement.
-                barrier.wait();
-                measure_delay_table_cached(key, &racer_build, &vctrls, &intervals, &render)
-            });
-            (leader.join().unwrap(), racer.join().unwrap())
-        });
-
-        assert_eq!(a, b, "racers must observe the same table");
-        assert_eq!(
-            build_calls.load(Ordering::Relaxed),
-            1,
-            "exactly one measurement may run for one key"
-        );
-        let (hits1, misses1) = characterization_cache_stats();
-        assert_eq!(misses1 - misses0, 1, "exactly one miss for the race");
-        // The racer either blocked on the in-flight measurement (the
-        // expected path) or — if wildly descheduled — arrived after
-        // completion and counted a plain hit; both prove no stampede.
-        let waited = characterization_single_flight_waits() - waits0;
-        let hit = hits1 - hits0;
-        assert_eq!(waited + hit, 1, "waits {waited} hits {hit}");
-
-        // A later lookup on the same key is a plain hit.
-        let again = measure_delay_table_cached(key, &racer_build, &vctrls, &intervals, &render);
-        assert_eq!(again, a);
-        assert_eq!(characterization_cache_stats().1, misses1, "no extra miss");
-        assert_eq!(build_calls.load(Ordering::Relaxed), 1);
+        let reads = || reads.load(std::sync::atomic::Ordering::Relaxed);
+        // On a grid point both weights are zero: one cell is read.
+        table.delay_at(Voltage::from_v(1.0), Time::from_ps(100.0));
+        assert_eq!(reads(), 1);
+        // A clone shares that cell; a prefetch measures the other three
+        // cells of the bracket in one batch.
+        table
+            .clone()
+            .prefetch(&[(Voltage::from_v(0.5), Time::from_ps(150.0))]);
+        assert_eq!(reads(), 4);
+        assert_eq!(table, eager);
+        assert_eq!(reads(), 4, "no cell is measured twice");
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Stable structural fingerprints for cache keys.
+//! Stable structural fingerprints for memo keys.
 //!
-//! The characterization cache (see [`crate::characterize`]) must key a
-//! measured [`crate::DelayTable`] by *everything that influenced the
-//! measurement*: the model configuration, the grids and the render
-//! settings. [`Fingerprint`] folds those into a 64-bit FNV-1a hash of
-//! the exact bit patterns — two configurations collide only if every
-//! folded value is bit-identical, which is precisely the condition under
-//! which the measured table is reusable.
+//! The measurement memo (see [`crate::memo`]) must key a measured delay
+//! by *everything that influenced the measurement*, the model
+//! configuration and render settings among it. [`Fingerprint`] folds
+//! those into a 64-bit FNV-1a hash of the exact bit patterns — two
+//! configurations collide only if every folded value is bit-identical,
+//! which is precisely the condition under which a measurement is
+//! reusable.
 
 /// An incremental FNV-1a hasher over typed values.
 ///
@@ -51,7 +51,7 @@ impl Fingerprint {
     }
 
     /// Folds a float by its exact bit pattern (so `-0.0 != 0.0` and NaN
-    /// payloads are distinguished — the cache must never alias "almost
+    /// payloads are distinguished — the memo must never alias "almost
     /// equal" configurations).
     pub fn push_f64(&mut self, v: f64) -> &mut Self {
         self.push_u64(v.to_bits())

@@ -38,6 +38,7 @@ pub mod deemphasis;
 pub mod fanout;
 pub mod fingerprint;
 pub mod lossy;
+pub mod memo;
 pub mod mux;
 pub mod noise;
 pub mod tline;
@@ -47,10 +48,8 @@ pub use block::{AnalogBlock, EdgeTransform};
 pub use buffer_core::{BufferCore, BufferCoreConfig};
 pub use chain::{Chain, EdgeChain};
 pub use characterize::{
-    characterization_cache_stats, characterization_single_flight_waits,
-    clear_characterization_cache, measure_delay_table, measure_delay_table_cached,
-    measure_delay_table_cached_with, measure_delay_table_with, try_measure_delay_table,
-    try_measure_delay_table_with, CharacterizeError, CharacterizedDelay, DelayTable,
+    try_measure_delay_table, try_measure_delay_table_with, CharacterizeError, CharacterizedDelay,
+    DelayTable,
 };
 pub use coupling::AcCoupling;
 pub use crosstalk::CrosstalkCoupling;
@@ -59,6 +58,10 @@ pub use deemphasis::DeEmphasis;
 pub use fanout::FanoutBuffer;
 pub use fingerprint::Fingerprint;
 pub use lossy::LossyChannel;
+pub use memo::{
+    clear_characterization_cache, measure_point, memo_stats, set_memo_enabled, MemoStats, PointKey,
+    PointMemo, MEMO_CAP,
+};
 pub use mux::{Mux4, SelectTapError};
 pub use noise::OuNoise;
 pub use tline::TransmissionLine;

@@ -14,7 +14,7 @@ use crate::{BackendCaps, BackendKind, BackendSetting, DelayBackend};
 ///
 /// Every trait method delegates to the circuit's own API with no
 /// arithmetic of its own — same constructor sub-seeds, same calibration
-/// sweep (including the fast-solve cache fingerprint), same solve path
+/// sweep (through the same measurement memo), same solve path
 /// — so driving the circuit through `dyn DelayBackend` is byte-identical
 /// to driving it directly. The equivalence suite in
 /// `tests/equivalence.rs` pins this at every thread count.

@@ -77,7 +77,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use vardelay_analog::{characterization_cache_stats, characterization_single_flight_waits};
+use vardelay_analog::{memo_stats, MemoStats};
 use vardelay_ate::report::{deskew_summary, deskew_table};
 use vardelay_bench::checkpoint::{checkpoint_dir, Checkpoint, CsvRecord};
 use vardelay_bench::{
@@ -518,13 +518,14 @@ fn unix_ms() -> u64 {
 fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resume_skips: usize) {
     let points = CSV_POINTS.load(Ordering::Relaxed);
     let files = CSV_FILES.load(Ordering::Relaxed);
-    let (hits, misses) = characterization_cache_stats();
-    let waits = characterization_single_flight_waits();
-    let (solve_hits, solve_misses) = vardelay_core::solve_cache_stats();
+    let MemoStats {
+        hits,
+        misses,
+        single_flight_waits: waits,
+    } = memo_stats();
     println!(
         "\nruntime: {wall_s:.2} s on {} thread(s), {points} CSV points in {files} files, \
-         cache {hits} hits / {misses} misses / {waits} single-flight waits, \
-         solve cache {solve_hits} hits / {solve_misses} misses \
+         measurement memo {hits} hits / {misses} misses / {waits} single-flight waits \
          [journal: {JOURNAL_PATH}]",
         Runner::global().threads()
     );
@@ -554,10 +555,7 @@ fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resum
             )
             .with("cache_hits", hits)
             .with("cache_misses", misses)
-            .with("single_flight_waits", waits)
-            .with("solve_hits", solve_hits)
-            .with("solve_misses", solve_misses)
-            .with("solve_fallbacks", vardelay_core::solve_fallbacks());
+            .with("single_flight_waits", waits);
         // The hot-path dimensions (per-request p99 solve time and
         // allocations per solve request) come from the obs registry, so
         // a `VARDELAY_OBS=0` run simply omits them — the hotpath compare

@@ -68,8 +68,9 @@ pub fn fig17_injection_sweep(bits: usize, points: usize) -> Series {
 /// Each amplitude point gets a fresh injector, which is bit-identical to
 /// reprogramming a shared one: [`JitterInjector::set_noise_peak_to_peak`]
 /// fully resets the noise process (fixed derived seed) and edge history,
-/// and the quiet model draws no per-edge RNG. The characterization cache
-/// absorbs the rebuild cost — every injector shares one table.
+/// and the quiet model draws no per-edge RNG. The measurement memo
+/// absorbs the rebuild cost — every injector's table reads the same
+/// memoized cells.
 pub fn fig17_injection_sweep_with(runner: Runner, bits: usize, points: usize) -> Series {
     let input = reference_stream(bits);
     let cfg = ModelConfig::paper_prototype().quiet();

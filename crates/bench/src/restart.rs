@@ -27,7 +27,7 @@
 //!
 //! One honesty caveat, also noted in EXPERIMENTS.md: because both legs
 //! run in one process, the warm boot additionally benefits from the
-//! process-wide characterization cache the cold boot filled. The gate's
+//! process-wide measurement memo the cold boot filled. The gate's
 //! warm<cold leg is therefore conservative evidence that the snapshot
 //! path is cheap, not a pure measure of it; `restore_us` (recovery work
 //! only) is recorded alongside for the direct number.

@@ -114,14 +114,6 @@ impl CalibrationTable {
         self.range().as_s() / dv
     }
 
-    /// Whether every delay strictly exceeds its predecessor — i.e. the
-    /// monotonization never flattened a segment and the inversion is
-    /// unambiguous everywhere. The solve cache refuses to serve tables
-    /// that fail this check.
-    pub fn is_strictly_increasing(&self) -> bool {
-        self.delays.windows(2).all(|w| w[0] < w[1])
-    }
-
     /// Interpolates the delay at an arbitrary control voltage (clamped to
     /// the calibrated span).
     pub fn delay_at(&self, vctrl: Voltage) -> Time {

@@ -6,7 +6,7 @@ use crate::config::ModelConfig;
 use crate::dac::VctrlDac;
 use crate::error::SetDelayError;
 use crate::fine::FineDelayLine;
-use vardelay_analog::{AnalogBlock, Fingerprint};
+use vardelay_analog::AnalogBlock;
 use vardelay_runner::Runner;
 use vardelay_units::{Time, Voltage};
 use vardelay_waveform::Waveform;
@@ -98,45 +98,6 @@ impl CombinedDelayCircuit {
         self.calibration = Some(table);
     }
 
-    /// [`CombinedDelayCircuit::calibrate`] through the characterization
-    /// cache: the fine line's delay table is measured **once per model
-    /// fingerprint** (`measure_delay_table_cached` in `vardelay-analog`,
-    /// single-flight across racing callers) and every later calibration
-    /// — another channel of a multi-tenant unit, another server start in
-    /// the same process — rebuilds its [`CalibrationTable`] from the
-    /// cached curve without re-running the waveform sweep. This is the
-    /// solve path `vardelay-serve` programs channels through.
-    ///
-    /// The curve is measured by the characterization engine rather than
-    /// [`calibrate`](Self::calibrate)'s direct per-point sweep, so the
-    /// two tables can differ by the engines' (sub-picosecond) tail
-    ///-pairing differences; both are valid calibrations of the same
-    /// line.
-    pub fn calibrate_cached(&mut self) -> &CalibrationTable {
-        self.calibrate_cached_with(Runner::global())
-    }
-
-    /// [`CombinedDelayCircuit::calibrate_cached`] on an explicit
-    /// [`Runner`].
-    pub fn calibrate_cached_with(&mut self, runner: Runner) -> &CalibrationTable {
-        let interval = Time::from_ps(320.0);
-        let points = 17;
-        let grid: Vec<Voltage> = (0..points)
-            .map(|i| {
-                self.fine
-                    .vctrl_min()
-                    .lerp(self.fine.vctrl_max(), i as f64 / (points - 1) as f64)
-            })
-            .collect();
-        let table = self.fine.characterize_with(runner, &grid, &[interval]);
-        let mut curve = table.curve_at(interval).into_iter();
-        let cal = CalibrationTable::from_measurement(&grid, |_| {
-            curve.next().expect("one curve point per grid voltage").1
-        });
-        self.calibration = Some(cal);
-        self.calibration.as_ref().expect("just stored")
-    }
-
     /// Calibrates at a caller-chosen toggle interval and grid size.
     ///
     /// # Panics
@@ -151,14 +112,10 @@ impl CombinedDelayCircuit {
     /// the fine line, so the table is bit-identical to the serial sweep at
     /// every thread count.
     ///
-    /// Each probe internally measures a fresh noise-free seed-0 line built
-    /// from the quiet configuration, so the whole sweep is a pure function
-    /// of `(quiet fingerprint, interval, grid)` — which is exactly the key
-    /// the solve cache (`crate::solve`) memoizes it under. A repeat
+    /// Each probe is a [`FineDelayLine::measure_delay`], which answers
+    /// from the measurement memo once its point is known: a repeat
     /// calibration of an identical channel skips the waveform simulation
-    /// entirely and returns the byte-identical table; set
-    /// `VARDELAY_FAST_SOLVE=0` to force every solve through the full
-    /// sweep.
+    /// and returns the byte-identical table.
     ///
     /// # Panics
     ///
@@ -178,43 +135,18 @@ impl CombinedDelayCircuit {
                     .lerp(self.fine.vctrl_max(), i as f64 / (points - 1) as f64)
             })
             .collect();
-        let table = if crate::solve::fast_solve_enabled() {
-            let mut fp = Fingerprint::new();
-            fp.push_u64(self.config.quiet().fingerprint());
-            fp.push_f64(interval.as_s());
-            fp.push_usize(points);
-            for v in &grid {
-                fp.push_f64(v.as_v());
-            }
-            crate::solve::solve_table_cached(fp.finish(), || {
-                self.sweep_calibration(runner, &grid, interval)
-            })
-        } else {
-            self.sweep_calibration(runner, &grid, interval)
-        };
-        self.calibration = Some(table);
-        self.calibration.as_ref().expect("just stored")
-    }
-
-    /// The slow-path calibration sweep: one full waveform simulation per
-    /// grid point, fanned out on `runner`. This is the authority the fast
-    /// path's cache is filled from.
-    fn sweep_calibration(
-        &self,
-        runner: Runner,
-        grid: &[Voltage],
-        interval: Time,
-    ) -> CalibrationTable {
-        let fine = self.fine.clone();
-        let delays = runner.par_map(grid, |_, &v| {
+        let fine = &self.fine;
+        let delays = runner.par_map(&grid, |_, &v| {
             let mut probe = fine.clone();
             probe.set_vctrl(v);
             probe.measure_delay(interval)
         });
         let mut next = delays.into_iter();
-        CalibrationTable::from_measurement(grid, |_| {
+        let table = CalibrationTable::from_measurement(&grid, |_| {
             next.next().expect("one measured delay per grid point")
-        })
+        });
+        self.calibration = Some(table);
+        self.calibration.as_ref().expect("just stored")
     }
 
     /// The total programmable relative range: last coarse tap plus the
@@ -407,40 +339,6 @@ mod tests {
                 "target {target}, realized {d}"
             );
         }
-    }
-
-    #[test]
-    fn cached_calibration_matches_the_direct_sweep() {
-        let cfg = ModelConfig::paper_prototype().quiet();
-        let mut direct = CombinedDelayCircuit::new(&cfg, 1);
-        direct.calibrate();
-        let mut cached = CombinedDelayCircuit::new(&cfg, 1);
-        cached.calibrate_cached();
-        // Different measurement engines, same physical curve: ranges
-        // agree to a couple of picoseconds and programming works across
-        // the full span.
-        let dr = direct.calibration().unwrap().range();
-        let cr = cached.calibration().unwrap().range();
-        assert!(
-            (dr - cr).abs() < Time::from_ps(3.0),
-            "direct {dr} vs cached {cr}"
-        );
-        let max = cached.total_range().unwrap();
-        for i in 0..=10 {
-            let target = max * (i as f64 / 10.0);
-            let s = cached.set_delay(target).unwrap();
-            assert!(
-                s.predicted_error.abs() < Time::from_ps(1.0),
-                "target {target}: error {}",
-                s.predicted_error
-            );
-        }
-        // A second cached calibration reproduces the identical table
-        // (served from the characterization cache, not re-measured).
-        let first = cached.calibration().unwrap().clone();
-        let mut again = CombinedDelayCircuit::new(&cfg, 99);
-        again.calibrate_cached();
-        assert_eq!(again.calibration(), Some(&first));
     }
 
     #[test]

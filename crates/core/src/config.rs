@@ -143,12 +143,10 @@ impl ModelConfig {
     }
 
     /// A 64-bit structural fingerprint of every field that can influence a
-    /// measurement of this model — the characterization-cache key (see
-    /// DESIGN.md §8). Two configurations share a fingerprint only when all
-    /// parameters are bit-identical, so a cached [`DelayTable`] keyed on it
-    /// is exact, never approximate.
-    ///
-    /// [`DelayTable`]: vardelay_analog::DelayTable
+    /// measurement of this model — the model part of the measurement
+    /// memo's key (see DESIGN.md §7a). Two configurations share a
+    /// fingerprint only when all parameters are bit-identical, so a
+    /// memoized measurement keyed on it is exact, never approximate.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         push_core(&mut fp, &self.vga.core);
@@ -229,7 +227,7 @@ mod tests {
             base.fingerprint(),
             ModelConfig::early_two_stage().fingerprint()
         );
-        // quiet() changes noise fields → must invalidate the cache key.
+        // quiet() changes noise fields → must invalidate the memo key.
         assert_ne!(base.fingerprint(), base.quiet().fingerprint());
         let mut render_tweak = base.clone();
         render_tweak.render.padding = Time::from_ps(501.0);

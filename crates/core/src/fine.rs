@@ -4,8 +4,8 @@
 
 use crate::config::ModelConfig;
 use vardelay_analog::{
-    measure_delay_table_cached_with, AnalogBlock, CharacterizedDelay, DelayTable, LimitingBuffer,
-    VgaBuffer,
+    measure_point, AnalogBlock, CharacterizeError, CharacterizedDelay, DelayTable, LimitingBuffer,
+    PointKey, VgaBuffer,
 };
 use vardelay_runner::Runner;
 use vardelay_siggen::{BitPattern, EdgeStream};
@@ -138,6 +138,10 @@ impl FineDelayLine {
     /// (e.g. a degenerate configuration or a dead driver under fault
     /// injection) — the characterization path for quarantined channels.
     ///
+    /// A pure function of the quiet fingerprint, the stage control
+    /// voltages and `interval`, memoized on exactly those
+    /// (`vardelay_analog::memo`).
+    ///
     /// # Errors
     ///
     /// Returns [`vardelay_measure::MeasureDelayError`] when no
@@ -147,17 +151,21 @@ impl FineDelayLine {
         interval: Time,
     ) -> Result<Time, vardelay_measure::MeasureDelayError> {
         let quiet_cfg = self.config.quiet();
-        let mut quiet = FineDelayLine::new(&quiet_cfg, 0);
-        quiet.set_stage_vctrls(&self.stage_vctrls());
-        let rate = BitRate::from_bps(1.0 / interval.as_s());
-        let stimulus = EdgeStream::nrz(&BitPattern::clock(24), rate);
-        let wf = Waveform::render(&stimulus, &self.config.render);
-        let out = quiet.process(&wf);
-        let out_stream = to_edge_stream(&out, 0.0, rate.bit_period());
-        vardelay_waveform::pool::recycle(out.into_samples());
-        vardelay_waveform::pool::recycle(wf.into_samples());
-        // Steady-state, polarity-safe tail pairing.
-        vardelay_measure::tail_mean_delay(&stimulus, &out_stream, 8)
+        let stage_vctrls = self.stage_vctrls();
+        let key = PointKey::new(quiet_cfg.fingerprint(), &stage_vctrls, interval);
+        measure_point(key, || {
+            let mut quiet = FineDelayLine::new(&quiet_cfg, 0);
+            quiet.set_stage_vctrls(&stage_vctrls);
+            let rate = BitRate::from_bps(1.0 / interval.as_s());
+            let stimulus = EdgeStream::nrz(&BitPattern::clock(24), rate);
+            let wf = Waveform::render(&stimulus, &self.config.render);
+            let out = quiet.process(&wf);
+            let out_stream = to_edge_stream(&out, 0.0, rate.bit_period());
+            vardelay_waveform::pool::recycle(out.into_samples());
+            vardelay_waveform::pool::recycle(wf.into_samples());
+            // Steady-state, polarity-safe tail pairing.
+            vardelay_measure::tail_mean_delay(&stimulus, &out_stream, 8)
+        })
     }
 
     /// The fine adjustment range at a toggle `interval`: delay at maximum
@@ -182,32 +190,41 @@ impl FineDelayLine {
     }
 
     /// Characterizes the full line into a `delay(Vctrl, interval)` table
-    /// using the waveform engine (noise disabled). Grid cells are measured
-    /// in parallel on the global [`Runner`], and the table is memoized by
-    /// the quiet model's fingerprint — the closure builds a fresh seed-0
-    /// noise-free line per cell, so the result depends only on the
-    /// configuration and grids.
+    /// using the waveform engine (noise disabled). The table is filled on
+    /// demand: a cell is measured, through the measurement memo, the
+    /// first time it is read, and a batch of missing cells fans out on
+    /// the global [`Runner`].
     pub fn characterize(&self, vctrls: &[Voltage], intervals: &[Time]) -> DelayTable {
         self.characterize_with(Runner::global(), vctrls, intervals)
     }
 
-    /// [`FineDelayLine::characterize`] on an explicit [`Runner`] (used by
-    /// determinism tests to force thread counts).
+    /// [`FineDelayLine::characterize`] filling its cells on an explicit
+    /// [`Runner`] (used by determinism tests to force thread counts).
+    /// Each cell is [`FineDelayLine::try_measure_delay`] at a common
+    /// control voltage.
     pub fn characterize_with(
         &self,
         runner: Runner,
         vctrls: &[Voltage],
         intervals: &[Time],
     ) -> DelayTable {
-        let cfg = self.config.quiet();
-        let render = self.config.render.clone();
-        let key = cfg.fingerprint();
-        let build = move |v: Voltage| -> Box<dyn AnalogBlock + Send> {
-            let mut line = FineDelayLine::new(&cfg, 0);
-            line.set_vctrl(v);
-            Box::new(line)
-        };
-        measure_delay_table_cached_with(runner, key, &build, vctrls, intervals, &render)
+        let line = self.clone();
+        DelayTable::on_demand(
+            vctrls.to_vec(),
+            intervals.to_vec(),
+            runner,
+            move |vctrl, interval| {
+                let mut probe = line.clone();
+                probe.set_vctrl(vctrl);
+                probe.try_measure_delay(interval).map_err(|source| {
+                    CharacterizeError::Unmeasurable {
+                        vctrl,
+                        interval,
+                        source,
+                    }
+                })
+            },
+        )
     }
 
     /// Builds the fast edge-domain model of this line: the characterized

@@ -128,8 +128,10 @@ impl JitterInjector {
     pub fn injection_slope_s_per_v(&self) -> f64 {
         let dv = Voltage::from_mv(50.0);
         let interval = Time::from_ps(320.0);
-        let lo = self.model.table().delay_at(self.bias - dv, interval);
-        let hi = self.model.table().delay_at(self.bias + dv, interval);
+        let points = [(self.bias - dv, interval), (self.bias + dv, interval)];
+        let table = self.model.table();
+        table.prefetch(&points);
+        let [lo, hi] = points.map(|(v, t)| table.delay_at(v, t));
         (hi - lo).as_s() / (2.0 * dv.as_v())
     }
 }

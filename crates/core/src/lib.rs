@@ -50,7 +50,6 @@ pub mod injector;
 pub mod multichannel;
 pub mod selftest;
 pub mod sentinel;
-pub mod solve;
 
 pub use baseline::PhaseInterpolator;
 pub use calibration::{CalibrationError, CalibrationTable, ParseCalibrationError};
@@ -70,7 +69,5 @@ pub use selftest::{
 pub use sentinel::{
     probe_indices, Sentinel, SentinelConfig, SentinelProbe, SentinelReport, SentinelVerdict,
 };
-pub use solve::{
-    clear_solve_cache, fast_solve_enabled, set_fast_solve_enabled, solve_cache_stats,
-    solve_fallbacks, solve_single_flight_waits,
-};
+/// Empties the measurement memo, so the next calibration runs cold.
+pub use vardelay_analog::clear_characterization_cache as clear_solve_cache;

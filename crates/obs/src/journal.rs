@@ -12,10 +12,15 @@
 //! ```json
 //! {"schema":1,"experiments":"all","threads":4,"git":"d813bb2",
 //!  "unix_ms":1754550000000,"wall_s":6.5,"csv_files":12,
-//!  "csv_points":1934,"points_per_s":297.5,"cache_hits":20,
-//!  "cache_misses":7,"single_flight_waits":0,
+//!  "csv_points":1934,"points_per_s":297.5,"cache_hits":508,
+//!  "cache_misses":313,"single_flight_waits":0,
 //!  "per_experiment_s":{"fig7":0.9}}
 //! ```
+//!
+//! The `cache_*` fields count measurement-memo point lookups (older
+//! records counted whole tables and carried `solve_*` fields). No gate
+//! reads them: the gates read `wall_s`, `solve_p99_us` and
+//! `allocs_per_request`.
 //!
 //! [`load`] also accepts the legacy format (one pretty-printed object
 //! spanning the whole file) so a pre-journal `BENCH_repro.json` reads as

@@ -1,7 +1,7 @@
 //! Counters, streaming histograms, span timers and the global registry.
 //!
 //! Everything here is designed for hot paths inside the parallel runner
-//! and the characterization cache: recording is atomics-only (no locks,
+//! and the measurement memo: recording is atomics-only (no locks,
 //! no allocation), and the registry lock is taken only on the *first*
 //! use of each metric name (entries are leaked to `&'static`, so repeat
 //! lookups can be cached by the caller or resolved through one short

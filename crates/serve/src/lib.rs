@@ -6,7 +6,7 @@
 //! profile updates — so this crate puts a TCP front end on the
 //! reproduction: line-delimited JSON requests (`set_delay`, `deskew`,
 //! `inject_jitter`, `selftest`, `stats`, `shutdown`) answered from a
-//! worker pool over the shared, characterization-cache-calibrated
+//! worker pool over the shared, memo-calibrated
 //! channel bank. DESIGN.md §12 specifies the protocol grammar and the
 //! three load-shedding behaviors this crate exists to demonstrate:
 //!

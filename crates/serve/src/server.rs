@@ -30,7 +30,7 @@
 //! Tenant banks are instantiated lazily with LRU eviction past
 //! `VARDELAY_SERVE_MAX_BANKS` — all banks share one model fingerprint,
 //! so lazy calibration and re-admission after eviction answer from the
-//! fast-solve cache instead of re-sweeping.
+//! measurement memo instead of re-sweeping.
 //!
 //! Two background loops keep the server honest over months, not
 //! milliseconds (DESIGN.md §15): a per-shard **health supervisor**
@@ -89,7 +89,7 @@ use crate::shard::{
 use crate::wal::{Wal, WalRecord};
 
 /// Seed for the service's model instances (shared by every bank so the
-/// characterization and fast-solve caches single-flight calibration).
+/// measurement memo single-flights calibration).
 /// Public so out-of-process checks (the soak e2e) can rebuild the exact
 /// circuit a bank channel holds and compare answers byte for byte.
 pub const SERVE_SEED: u64 = 0x5e7e;
@@ -384,7 +384,7 @@ struct DurabilityHooks {
     /// The server's default backend. Only its banks persist: the
     /// snapshot fingerprint describes exactly one hardware family, so a
     /// wire-selected non-default bank is ephemeral — rebuilt from the
-    /// fast-solve cache on demand, never written where a different
+    /// measurement memo on demand, never written where a different
     /// family's restart might find it.
     default: BackendKind,
 }
@@ -851,8 +851,8 @@ impl ServerHandle {
 
 /// Binds, recovers durable state when a state directory is configured
 /// (snapshot restore → WAL replay → compaction), eagerly calibrates the
-/// default tenant's bank (one full sweep through the solve cache; every
-/// later bank rides the fast path), and spawns the accept thread and
+/// default tenant's bank (one full sweep through the measurement memo;
+/// every later bank answers from it), and spawns the accept thread and
 /// the per-shard worker pools.
 pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
@@ -918,9 +918,9 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         }
     };
     // The default tenant is warmed eagerly with the parallel runner so
-    // the very first sweep (the only one that misses the fast-solve
-    // cache) uses every core; lazy tenant banks built on worker threads
-    // calibrate serially through the cache instead. After a warm
+    // the very first sweep (the only one that misses the measurement
+    // memo) uses every core; lazy tenant banks built on worker threads
+    // calibrate serially through the memo instead. After a warm
     // restart this is a no-op LRU refresh.
     registry.get(&BankId::new("", default_backend), Runner::from_env());
 
@@ -1547,8 +1547,8 @@ fn solve_delay(shared: &Arc<Shared>, id: &BankId, channel: usize, target_ps: f64
         });
     }
     // Lazy tenants calibrate here, on the worker thread, serially — the
-    // fast-solve cache answers the sweep, so this is a table copy, not
-    // a re-simulation.
+    // measurement memo answers every sweep point, so this is 17 lookups,
+    // not a re-simulation.
     let bank = shared.registry.get(id, Runner::serial());
     let Some(slot) = bank.channels.get(channel) else {
         return Response::error(

@@ -10,10 +10,10 @@
 //!   that exceeds its refill rate draws `overloaded` at admission while
 //!   every other tenant's bucket is untouched.
 //! * [`BankRegistry`] instantiates per-tenant calibration banks lazily
-//!   (single-flight per tenant, same discipline as the characterization
-//!   cache) and evicts the least-recently-used bank past the cap. All
+//!   (single-flight per tenant, same discipline as the measurement
+//!   memo) and evicts the least-recently-used bank past the cap. All
 //!   banks share one model fingerprint, so eviction is cheap to undo:
-//!   re-admission re-calibrates through the fast-solve cache instead of
+//!   re-admission re-calibrates through the measurement memo instead of
 //!   re-sweeping.
 
 use std::collections::{HashMap, VecDeque};
@@ -288,7 +288,7 @@ impl TenantBank {
         // the process's very first calibration pays a full sweep (which
         // itself parallelizes through the same runner); every later
         // bank (lazy tenants, LRU re-admissions, rejected snapshots) is
-        // served the byte-identical table from the fast-solve cache.
+        // served the byte-identical table from the measurement memo.
         let mut bank = Vec::with_capacity(channels);
         let mut restored = vec![false; channels];
         for (ch, (mut backend, trusted)) in verified.into_iter().enumerate() {

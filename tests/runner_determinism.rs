@@ -118,15 +118,23 @@ fn characterization_is_identical_across_thread_counts_and_cache_states() {
     let vctrls = &vctrls[..3];
     let intervals = &intervals[..2];
 
-    let serial = line.characterize_with(Runner::new(1), vctrls, intervals);
+    // Tables fill on demand, so `delays()` is where each one measures.
+    let table = |threads| {
+        line.characterize_with(Runner::new(threads), vctrls, intervals)
+            .delays()
+    };
+    let serial = table(1);
     for threads in [2, 8] {
         // Clearing between runs forces a real remeasure at this thread
-        // count instead of a trivial cache hit.
+        // count instead of a trivial memo hit.
         vardelay_analog::clear_characterization_cache();
-        let parallel = line.characterize_with(Runner::new(threads), vctrls, intervals);
-        assert_eq!(serial, parallel, "table diverged at {threads} threads");
+        assert_eq!(
+            serial,
+            table(threads),
+            "table diverged at {threads} threads"
+        );
     }
-    // And the warm-cache path returns the same table again.
-    let cached = line.characterize_with(Runner::new(3), vctrls, intervals);
+    // And the warm-memo path returns the same table again.
+    let cached = table(3);
     assert_eq!(serial, cached);
 }
