@@ -194,12 +194,6 @@ impl PointMemo {
 /// 0 = undecided (read the environment on first use), 1 = on, 2 = off.
 static ENABLED: AtomicU8 = AtomicU8::new(0);
 
-/// Whether `VARDELAY_NO_CACHE` set to `raw` leaves the memo on: unset,
-/// `0`, `off` and `false` do; any other value turns it off.
-fn enabled_for(raw: Option<&str>) -> bool {
-    matches!(raw, None | Some("0") | Some("off") | Some("false"))
-}
-
 /// Whether [`measure_point`] consults the memo. Defaults to on;
 /// `VARDELAY_NO_CACHE` disables it (read on first use), and
 /// [`set_memo_enabled`] overrides either way.
@@ -208,8 +202,7 @@ fn memo_enabled() -> bool {
         1 => true,
         2 => false,
         _ => {
-            let raw = std::env::var_os("VARDELAY_NO_CACHE");
-            let on = enabled_for(raw.as_ref().map(|v| v.to_str().unwrap_or("")));
+            let on = !obs::env_flag("VARDELAY_NO_CACHE").unwrap_or(false);
             set_memo_enabled(on);
             on
         }
@@ -243,19 +236,4 @@ pub fn memo_stats() -> MemoStats {
 /// runs cold. Meant for tests and cold-start benchmarks.
 pub fn clear_characterization_cache() {
     PointMemo::global().clear();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kill_switch_follows_the_workspace_rule() {
-        for raw in [None, Some("0"), Some("off"), Some("false")] {
-            assert!(enabled_for(raw), "{raw:?} must leave the memo on");
-        }
-        for raw in [Some("1"), Some("yes"), Some("true"), Some("")] {
-            assert!(!enabled_for(raw), "{raw:?} must turn the memo off");
-        }
-    }
 }

@@ -19,8 +19,8 @@
 //! range, resolution, and solve settings are diffed byte-for-byte
 //! against a [`CombinedDelayCircuit`] driven directly (same config,
 //! same seed, same serial runner) — any divergence sets
-//! `reference_drift` and turns `repro compare backends` red via
-//! [`vardelay_obs::journal::compare_latest_backends`].
+//! `reference_drift` and turns `repro compare backends` red (see
+//! [`vardelay_obs::journal::GATES`]).
 //!
 //! Determinism: every per-backend score runs on a serial runner with
 //! seeds derived from [`EXPERIMENT_SEED`]; the campaign fans out only
@@ -34,6 +34,7 @@ use vardelay_backend::{make_backend, BackendKind, BackendSentinel, DelayBackend}
 use vardelay_core::{CombinedDelayCircuit, ModelConfig, SentinelConfig, SetDelayError};
 use vardelay_faults::FaultKind;
 use vardelay_measure::Table;
+use vardelay_obs::journal;
 use vardelay_obs::json::Value;
 use vardelay_runner::{task_seed, Runner};
 use vardelay_siggen::SplitMix64;
@@ -225,15 +226,10 @@ impl BackendsReport {
         table
     }
 
-    /// The journal record `repro compare backends` gates on via
-    /// [`vardelay_obs::journal::compare_latest_backends`].
+    /// The journal record `repro compare backends` gates on.
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
-        let mut record = Value::obj()
-            .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
-            .with("experiments", "backends")
-            .with("threads", Runner::global().threads())
-            .with("git", git)
-            .with("unix_ms", unix_ms)
+        let threads = Runner::global().threads() as u64;
+        let mut record = journal::header("backends", threads, git, unix_ms)
             .with("wall_s", self.wall.as_secs_f64())
             .with("contract_violations", self.contract_violations())
             .with("reference_drift", self.reference_drift)
@@ -486,6 +482,7 @@ fn circuit_matches_reference(seed: u64) -> bool {
 mod tests {
     use super::*;
     use std::sync::Mutex;
+    use vardelay_obs::journal::{gate, Rule};
 
     /// The kill switch is process-global; tests that flip it must not
     /// interleave.
@@ -546,9 +543,12 @@ mod tests {
             reparsed.get("experiments").and_then(Value::as_str),
             Some("backends")
         );
-        let cmp = vardelay_obs::journal::compare_latest_backends(&[record])
+        let records = [record];
+        let cmp = gate("backends")
+            .unwrap()
+            .evaluate(&records)
             .expect("one record suffices for the absolute gate");
-        assert!(!cmp.regressed, "{cmp}");
+        assert!(!cmp.regressed(), "{cmp}");
     }
 
     #[test]
@@ -559,17 +559,26 @@ mod tests {
         vardelay_faults::set_enabled(true);
         let mut report = backends_campaign_with(&BackendsConfig::default(), Runner::serial());
         report.rows[0].contract_ok = false;
-        let red = report.record("deadbeef", 1_700_000_000_000);
-        let cmp = vardelay_obs::journal::compare_latest_backends(&[red]).expect("record compares");
-        assert!(cmp.regressed, "{cmp}");
+        let red = [report.record("deadbeef", 1_700_000_000_000)];
+        let cmp = gate("backends")
+            .unwrap()
+            .evaluate(&red)
+            .expect("record compares");
+        assert_eq!(
+            cmp.failed,
+            [Rule::Ceiling("contract_violations", 0.0)],
+            "{cmp}"
+        );
         assert!(cmp.to_string().contains("REGRESSED"), "{cmp}");
 
         report.rows[0].contract_ok = true;
         report.reference_drift = true;
-        let drifted = report.record("deadbeef", 1_700_000_100_000);
-        let cmp =
-            vardelay_obs::journal::compare_latest_backends(&[drifted]).expect("record compares");
-        assert!(cmp.regressed, "{cmp}");
+        let drifted = [report.record("deadbeef", 1_700_000_100_000)];
+        let cmp = gate("backends")
+            .unwrap()
+            .evaluate(&drifted)
+            .expect("record compares");
+        assert_eq!(cmp.failed, [Rule::Ceiling("reference_drift", 0.0)], "{cmp}");
     }
 
     #[test]

@@ -13,17 +13,11 @@
 //! repro [all|<name>[,<name>...]] [--resume]
 //!   names: fig1 fig2 fig7 fig9 fig12 fig13 fig14 fig15 fig16 fig17
 //!          table1 ablation extensions faults
-//! repro compare [all|serve-bench|fairness|hotpath|soak|restart|backends]
-//!                 # regression gate: diff the latest two valid `all`
-//!                 # journal records, exit non-zero on >10 % wall-clock
-//!                 # regression (exit 2 when <2 valid records remain);
-//!                 # with no target, also gates the latest two
-//!                 # serve-bench records when the journal has them, the
-//!                 # multi-tenant fairness/p99.9 gate once two
-//!                 # serve-bench-mt records exist, and the hot-path
-//!                 # dimensions (per-request p99 solve time,
-//!                 # allocations per request) once two instrumented
-//!                 # `all` records exist
+//! repro compare [<target>]
+//!                 # the regression gates, one per target in
+//!                 # journal::GATES (DESIGN.md §9): exit 0 ok,
+//!                 # 1 regressed, 2 unusable journal; with no target,
+//!                 # every gate whose records exist, `all` always
 //! repro serve     # the delay-control server (DESIGN.md §12): listens
 //!                 # on VARDELAY_SERVE_ADDR until a wire `shutdown`,
 //!                 # then drains and appends a serve-drain record
@@ -536,12 +530,8 @@ fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resum
         for (name, s) in timings {
             per_experiment = per_experiment.with(name, (s * 1000.0).round() / 1000.0);
         }
-        let mut record = Value::obj()
-            .with("schema", journal::SCHEMA_VERSION)
-            .with("experiments", arg)
-            .with("threads", Runner::global().threads())
-            .with("git", git_describe())
-            .with("unix_ms", unix_ms())
+        let threads = Runner::global().threads() as u64;
+        let mut record = journal::header(arg, threads, &git_describe(), unix_ms())
             .with("wall_s", (wall_s * 1000.0).round() / 1000.0)
             .with("csv_files", files)
             .with("csv_points", points)
@@ -601,227 +591,26 @@ fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resum
     }
 }
 
-/// `repro compare` — the regression gate: diffs the latest two `all`
-/// records in the journal and fails (exit 1) when the newer wall clock
-/// regressed by more than [`journal::DEFAULT_THRESHOLD`]. Exit 2 when
-/// there are not yet two comparable records.
+/// `repro compare [target]` — the regression gates of
+/// [`journal::GATES`] (DESIGN.md §9): the named gate, or with no target
+/// every gate whose records the journal holds, the `all` wall-clock gate
+/// always. Prints one verdict line per gate evaluated, then exits 0 when
+/// all are green, 1 when one regressed, and 2 when the journal cannot be
+/// read, the target is unknown or a gate cannot be evaluated (too few
+/// records, a thread-count mismatch or a missing field).
 fn run_compare(target: Option<&str>) -> ! {
-    let records = match journal::load(Path::new(JOURNAL_PATH)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("repro compare: {e}");
-            std::process::exit(2);
-        }
-    };
-    match target {
-        None => {
-            // Default gate: the `all` wall clock, plus the serving SLO
-            // whenever the journal holds two serve-bench records. A
-            // journal with fewer serve records is not an error — serving
-            // may simply never have been benchmarked on this checkout.
-            let mut regressed = false;
-            match journal::compare_latest(&records, "all", journal::DEFAULT_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            match journal::compare_latest_serve(&records, journal::SERVE_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The multi-tenant fairness gate arms itself once two
-            // serve-bench-mt records exist.
-            match journal::compare_latest_fairness(
-                &records,
-                journal::SERVE_THRESHOLD,
-                journal::FAIRNESS_THRESHOLD,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The hot-path gate (solve p99, allocations per request)
-            // arms itself once two instrumented `all` records exist;
-            // journals written before the fast path landed (or with
-            // VARDELAY_OBS=0) are simply not gated yet.
-            match journal::compare_latest_hotpath(
-                &records,
-                journal::SOLVE_THRESHOLD,
-                journal::DEFAULT_THRESHOLD,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The self-healing gate arms itself once two soak records
-            // exist.
-            match journal::compare_latest_soak(
-                &records,
-                journal::SOAK_MTTR_THRESHOLD,
-                journal::SOAK_AVAILABILITY_FLOOR,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The durable-restart gate arms itself once two restart
-            // records exist.
-            match journal::compare_latest_restart(&records, journal::RESTART_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            // The cross-backend contract gate is absolute and arms
-            // itself on the first backends record.
-            match journal::compare_latest_backends(&records) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    regressed |= cmp.regressed;
-                }
-                Err(journal::CompareError::TooFewRecords { .. }) => {}
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-            std::process::exit(i32::from(regressed));
-        }
-        Some("all") => match journal::compare_latest(&records, "all", journal::DEFAULT_THRESHOLD) {
-            Ok(cmp) => {
-                println!("repro compare: {cmp}");
-                std::process::exit(i32::from(cmp.regressed));
-            }
-            Err(e) => {
-                eprintln!("repro compare: {e}");
-                std::process::exit(2);
-            }
-        },
-        Some("serve-bench") => {
-            match journal::compare_latest_serve(&records, journal::SERVE_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("fairness") => {
-            match journal::compare_latest_fairness(
-                &records,
-                journal::SERVE_THRESHOLD,
-                journal::FAIRNESS_THRESHOLD,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("hotpath") => {
-            match journal::compare_latest_hotpath(
-                &records,
-                journal::SOLVE_THRESHOLD,
-                journal::DEFAULT_THRESHOLD,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("soak") => {
-            match journal::compare_latest_soak(
-                &records,
-                journal::SOAK_MTTR_THRESHOLD,
-                journal::SOAK_AVAILABILITY_FLOOR,
-            ) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("restart") => {
-            match journal::compare_latest_restart(&records, journal::RESTART_THRESHOLD) {
-                Ok(cmp) => {
-                    println!("repro compare: {cmp}");
-                    std::process::exit(i32::from(cmp.regressed));
-                }
-                Err(e) => {
-                    eprintln!("repro compare: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some("backends") => match journal::compare_latest_backends(&records) {
-            Ok(cmp) => {
-                println!("repro compare: {cmp}");
-                std::process::exit(i32::from(cmp.regressed));
-            }
-            Err(e) => {
-                eprintln!("repro compare: {e}");
-                std::process::exit(2);
-            }
-        },
-        Some(other) => {
-            eprintln!(
-                "repro compare: unknown target {other:?} (expected \"all\", \"serve-bench\", \
-                 \"fairness\", \"hotpath\", \"soak\", \"restart\" or \"backends\")"
-            );
-            std::process::exit(2);
+    let records = journal::load(Path::new(JOURNAL_PATH)).unwrap_or_else(|e| {
+        eprintln!("repro compare: {e}");
+        std::process::exit(2);
+    });
+    let results = journal::compare(&records, target);
+    for result in &results {
+        match result {
+            Ok(verdict) => println!("repro compare: {verdict}"),
+            Err(e) => eprintln!("repro compare: {e}"),
         }
     }
+    std::process::exit(journal::exit_code(&results));
 }
 
 /// `repro serve` — runs the standalone delay-control server until a
@@ -1104,8 +893,8 @@ fn usage_exit(unknown: &str) -> ! {
         .join(" ");
     eprintln!(
         "unknown experiment {unknown:?}; usage: repro [all|<name>[,<name>...]] [--resume] | \
-         compare [all|serve-bench|fairness|hotpath|soak|restart|backends] | serve | \
-         serve-bench [mt] | soak | restart | backends\n  names: {names}"
+         compare [{}] | serve | serve-bench [mt] | soak | restart | backends\n  names: {names}",
+        journal::targets()
     );
     std::process::exit(2);
 }

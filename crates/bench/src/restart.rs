@@ -20,8 +20,8 @@
 //! and boots a third time, requiring the server to *refuse* the corrupt
 //! snapshot, recalibrate that bank from scratch, and still answer the
 //! fresh script byte-identically. The aggregate lands in a `restart`
-//! journal record gated by `repro compare restart` via
-//! [`vardelay_obs::journal::compare_latest_restart`]: warm must beat
+//! journal record gated by `repro compare restart` (see
+//! [`vardelay_obs::journal::GATES`]): warm must beat
 //! cold, at least one bank must restore, nothing may recalibrate on an
 //! intact store, and the warm start must not blow up run-over-run.
 //!
@@ -37,6 +37,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use vardelay_obs::journal;
 use vardelay_obs::json::Value;
 use vardelay_serve::{serve, Client, Envelope, Request, Response, ServeConfig, ServerHandle};
 use vardelay_siggen::SplitMix64;
@@ -144,15 +145,9 @@ impl RestartReport {
         )
     }
 
-    /// The journal record `repro compare restart` gates on via
-    /// [`vardelay_obs::journal::compare_latest_restart`].
+    /// The journal record `repro compare restart` gates on.
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
-        Value::obj()
-            .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
-            .with("experiments", "restart")
-            .with("threads", self.workers)
-            .with("git", git)
-            .with("unix_ms", unix_ms)
+        journal::header("restart", self.workers, git, unix_ms)
             .with("wall_s", self.wall.as_secs_f64())
             .with("requests", self.requests)
             .with("cold_start_us", self.cold_start_us as f64)
@@ -387,6 +382,7 @@ pub fn run_restart(config: &RestartConfig) -> std::io::Result<RestartReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vardelay_obs::journal::{gate, Rule};
 
     fn report(warm_start_us: u64, banks_restored: u64, replay_mismatches: u64) -> RestartReport {
         RestartReport {
@@ -415,24 +411,27 @@ mod tests {
             Some("restart")
         );
         let records = vec![record.clone(), record];
-        let cmp = vardelay_obs::journal::compare_latest_restart(
-            &records,
-            vardelay_obs::journal::RESTART_THRESHOLD,
-        )
-        .expect("two identical records compare");
-        assert!(!cmp.regressed, "{cmp}");
+        let cmp = gate("restart")
+            .unwrap()
+            .evaluate(&records)
+            .expect("two identical records compare");
+        assert!(!cmp.regressed(), "{cmp}");
     }
 
     #[test]
     fn a_diverging_replay_turns_the_gate_red() {
         let green = report(100_000, 1, 0).record("deadbeef", 1_700_000_000_000);
         let red = report(100_000, 1, 2).record("deadbeef", 1_700_000_100_000);
-        let cmp = vardelay_obs::journal::compare_latest_restart(
-            &[green, red],
-            vardelay_obs::journal::RESTART_THRESHOLD,
-        )
-        .expect("records compare");
-        assert!(cmp.regressed, "{cmp}");
+        let records = [green, red];
+        let cmp = gate("restart")
+            .unwrap()
+            .evaluate(&records)
+            .expect("records compare");
+        assert_eq!(
+            cmp.failed,
+            [Rule::Ceiling("replay_mismatches", 0.0)],
+            "{cmp}"
+        );
         assert!(cmp.to_string().contains("REGRESSED"), "{cmp}");
     }
 
@@ -441,14 +440,18 @@ mod tests {
         // Warm no faster than cold means the snapshots bought nothing.
         let green = report(100_000, 1, 0).record("deadbeef", 1_700_000_000_000);
         let red = report(950_000, 1, 0).record("deadbeef", 1_700_000_100_000);
-        let cmp = vardelay_obs::journal::compare_latest_restart(
-            &[green, red],
-            // Growth leg loosened out of the way: the warm<cold leg
-            // must trip on its own.
-            20.0,
-        )
-        .expect("records compare");
-        assert!(cmp.regressed, "{cmp}");
+        let records = [green, red];
+        let cmp = gate("restart")
+            .unwrap()
+            .evaluate(&records)
+            .expect("records compare");
+        // The 9.5× warm growth trips too; the warm<cold leg must trip
+        // in its own right.
+        assert!(
+            cmp.failed
+                .contains(&Rule::Below("warm_start_us", "cold_start_us")),
+            "{cmp}"
+        );
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //!
 //! Latencies land in a local obs log₂ [`Histogram`]; the resulting
 //! p50/p95/p99 plus throughput and per-kind response counts become a
-//! `serve-bench` journal record, gated by `repro compare` via
-//! [`vardelay_obs::journal::compare_latest_serve`].
+//! `serve-bench` journal record, gated by `repro compare serve-bench`
+//! (see [`vardelay_obs::journal::GATES`]).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use vardelay_obs::journal;
 use vardelay_obs::json::Value;
 use vardelay_obs::Histogram;
 use vardelay_runner::task_seed;
@@ -124,12 +125,7 @@ impl LoadReport {
     /// are the caller's (the repro binary stamps them like its runtime
     /// records).
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
-        Value::obj()
-            .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
-            .with("experiments", "serve-bench")
-            .with("threads", self.workers)
-            .with("git", git)
-            .with("unix_ms", unix_ms)
+        journal::header("serve-bench", self.workers, git, unix_ms)
             .with("wall_s", self.wall.as_secs_f64())
             .with("requests", self.requests)
             .with("ok", self.ok)
@@ -413,20 +409,14 @@ impl MtLoadReport {
         )
     }
 
-    /// The journal record `repro compare fairness` gates on via
-    /// [`vardelay_obs::journal::compare_latest_fairness`].
+    /// The journal record `repro compare fairness` gates on.
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
         let wall_s = self.wall.as_secs_f64().max(1e-9);
         let mut per_tenant = Value::obj();
         for (tenant, &ok) in self.per_tenant_ok.iter().enumerate() {
             per_tenant = per_tenant.with(&tenant_label(tenant), ok as f64 / wall_s);
         }
-        let mut record = Value::obj()
-            .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
-            .with("experiments", "serve-bench-mt")
-            .with("threads", self.workers)
-            .with("git", git)
-            .with("unix_ms", unix_ms)
+        let mut record = journal::header("serve-bench-mt", self.workers, git, unix_ms)
             .with("wall_s", self.wall.as_secs_f64())
             .with("tenants", self.tenants as u64)
             .with("clients", self.clients)
@@ -642,6 +632,7 @@ impl ResponseCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vardelay_obs::journal::gate;
 
     #[test]
     fn the_mix_is_deterministic_and_mostly_set_delay() {
@@ -692,12 +683,11 @@ mod tests {
             Some("serve-bench")
         );
         let records = vec![record.clone(), record];
-        let cmp = vardelay_obs::journal::compare_latest_serve(
-            &records,
-            vardelay_obs::journal::SERVE_THRESHOLD,
-        )
-        .expect("two identical records compare");
-        assert!(!cmp.regressed, "{cmp}");
+        let cmp = gate("serve-bench")
+            .unwrap()
+            .evaluate(&records)
+            .expect("two identical records compare");
+        assert!(!cmp.regressed(), "{cmp}");
     }
 
     #[test]
@@ -748,13 +738,11 @@ mod tests {
             "per-tenant throughput must be in the record"
         );
         let records = vec![record.clone(), record];
-        let cmp = vardelay_obs::journal::compare_latest_fairness(
-            &records,
-            vardelay_obs::journal::SERVE_THRESHOLD,
-            vardelay_obs::journal::FAIRNESS_THRESHOLD,
-        )
-        .expect("two identical records compare");
-        assert!(!cmp.regressed, "{cmp}");
+        let cmp = gate("fairness")
+            .unwrap()
+            .evaluate(&records)
+            .expect("two identical records compare");
+        assert!(!cmp.regressed(), "{cmp}");
     }
 
     #[test]
@@ -765,13 +753,14 @@ mod tests {
         let injected = starved.record("deadbeef", 1_700_000_100_000);
         assert_eq!(injected.get("hot_tenant").and_then(Value::as_u64), Some(0));
         let records = vec![baseline, injected];
-        let cmp = vardelay_obs::journal::compare_latest_fairness(
-            &records,
-            vardelay_obs::journal::SERVE_THRESHOLD,
-            vardelay_obs::journal::FAIRNESS_THRESHOLD,
-        )
-        .expect("records compare");
-        assert!(cmp.regressed, "fairness 9.7 must trip the 2.0 gate: {cmp}");
+        let cmp = gate("fairness")
+            .unwrap()
+            .evaluate(&records)
+            .expect("records compare");
+        assert!(
+            cmp.regressed(),
+            "fairness 9.7 must trip the 2.0 gate: {cmp}"
+        );
         assert!(cmp.to_string().contains("REGRESSED"), "{cmp}");
     }
 }

@@ -8,8 +8,8 @@
 //! injected → the wire `stats` report shows an unhealthy channel) and
 //! **MTTR** (drift injected → the channel is back to `Healthy` and the
 //! unhealthy count is zero again). The aggregate lands in a `soak`
-//! journal record gated by `repro compare soak` via
-//! [`vardelay_obs::journal::compare_latest_soak`]: availability on the
+//! journal record gated by `repro compare soak` (see
+//! [`vardelay_obs::journal::GATES`]): availability on the
 //! never-drifted channels must hold the floor, every incident must heal,
 //! and the p99 MTTR must not blow up run-over-run.
 //!
@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use vardelay_faults::NetChaos;
+use vardelay_obs::journal;
 use vardelay_obs::json::Value;
 use vardelay_runner::task_seed;
 use vardelay_serve::{
@@ -171,15 +172,9 @@ impl SoakReport {
         )
     }
 
-    /// The journal record `repro compare soak` gates on via
-    /// [`vardelay_obs::journal::compare_latest_soak`].
+    /// The journal record `repro compare soak` gates on.
     pub fn record(&self, git: &str, unix_ms: u64) -> Value {
-        Value::obj()
-            .with("schema", vardelay_obs::journal::SCHEMA_VERSION)
-            .with("experiments", "soak")
-            .with("threads", self.workers)
-            .with("git", git)
-            .with("unix_ms", unix_ms)
+        journal::header("soak", self.workers, git, unix_ms)
             .with("wall_s", self.wall.as_secs_f64())
             .with("incidents", self.incidents)
             .with("unhealed", self.unhealed)
@@ -268,10 +263,7 @@ pub fn run_soak(config: &SoakConfig) -> std::io::Result<SoakReport> {
     serve_config.workers = 2;
     serve_config.shards = 1;
     serve_config.health_period = Some(config.health_period);
-    serve_config.recalibrate = !matches!(
-        std::env::var("VARDELAY_SERVE_RECAL").as_deref(),
-        Ok("0") | Ok("off") | Ok("false")
-    );
+    serve_config.recalibrate = vardelay_obs::env_flag("VARDELAY_SERVE_RECAL").unwrap_or(true);
     let handle = serve(serve_config)?;
     let addr = handle.addr();
     let mut probe = Client::connect(addr)?;
@@ -458,6 +450,7 @@ pub fn run_soak(config: &SoakConfig) -> std::io::Result<SoakReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vardelay_obs::journal::{gate, Rule};
 
     fn report(mttr_p99_us: u64, availability: f64, unhealed: u64) -> SoakReport {
         SoakReport {
@@ -492,13 +485,11 @@ mod tests {
             Some("soak")
         );
         let records = vec![record.clone(), record];
-        let cmp = vardelay_obs::journal::compare_latest_soak(
-            &records,
-            vardelay_obs::journal::SOAK_MTTR_THRESHOLD,
-            vardelay_obs::journal::SOAK_AVAILABILITY_FLOOR,
-        )
-        .expect("two identical records compare");
-        assert!(!cmp.regressed, "{cmp}");
+        let cmp = gate("soak")
+            .unwrap()
+            .evaluate(&records)
+            .expect("two identical records compare");
+        assert!(!cmp.regressed(), "{cmp}");
     }
 
     #[test]
@@ -511,13 +502,11 @@ mod tests {
         sabotaged.recalibrations = 0;
         sabotaged.mttr_p50_us = 0;
         let records = vec![green, sabotaged.record("deadbeef", 1_700_000_100_000)];
-        let cmp = vardelay_obs::journal::compare_latest_soak(
-            &records,
-            vardelay_obs::journal::SOAK_MTTR_THRESHOLD,
-            vardelay_obs::journal::SOAK_AVAILABILITY_FLOOR,
-        )
-        .expect("records compare");
-        assert!(cmp.regressed, "{cmp}");
+        let cmp = gate("soak")
+            .unwrap()
+            .evaluate(&records)
+            .expect("records compare");
+        assert_eq!(cmp.failed, [Rule::Ceiling("unhealed", 0.0)], "{cmp}");
         assert!(cmp.to_string().contains("REGRESSED"), "{cmp}");
     }
 

@@ -54,10 +54,7 @@ pub fn enabled() -> bool {
         1 => true,
         2 => false,
         _ => {
-            let on = !matches!(
-                std::env::var("VARDELAY_FAULTS").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            );
+            let on = vardelay_obs::env_flag("VARDELAY_FAULTS").unwrap_or(true);
             ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
             on
         }

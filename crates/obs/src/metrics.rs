@@ -33,10 +33,7 @@ pub fn enabled() -> bool {
         1 => true,
         2 => false,
         _ => {
-            let on = !matches!(
-                std::env::var("VARDELAY_OBS").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            );
+            let on = crate::env_flag("VARDELAY_OBS").unwrap_or(true);
             ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
             on
         }

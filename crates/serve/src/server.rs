@@ -215,10 +215,7 @@ impl ServeConfig {
             io_timeout: Duration::from_millis(
                 env_usize("VARDELAY_SERVE_IO_TIMEOUT_MS", 10_000) as u64
             ),
-            recalibrate: !matches!(
-                std::env::var("VARDELAY_SERVE_RECAL").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            ),
+            recalibrate: vardelay_obs::env_flag("VARDELAY_SERVE_RECAL").unwrap_or(true),
             state_dir: std::env::var("VARDELAY_SERVE_STATE_DIR")
                 .ok()
                 .map(|raw| raw.trim().to_owned())
