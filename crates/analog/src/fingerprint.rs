@@ -131,4 +131,21 @@ mod tests {
         b.push_str("a").push_str("bc");
         assert_ne!(a.finish(), b.finish());
     }
+
+    #[test]
+    fn digest_still_matches_the_analog_fingerprint_fold() {
+        // `repro` checkpoints record CSV digests that were once computed
+        // through `Fingerprint::push_str`; `vardelay_obs::artifact::digest`
+        // must stay byte-compatible or every existing checkpoint silently
+        // stops matching on `--resume`.
+        for contents in ["", "x,y\n1,2\n", "fig07_delay_vs_vctrl", "\u{00b5}s"] {
+            let mut f = Fingerprint::new();
+            f.push_str(contents);
+            assert_eq!(
+                vardelay_obs::artifact::digest(contents),
+                f.finish(),
+                "contents {contents:?}"
+            );
+        }
+    }
 }

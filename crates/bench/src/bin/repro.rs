@@ -75,15 +75,15 @@ use vardelay_analog::{memo_stats, MemoStats};
 use vardelay_ate::report::{deskew_summary, deskew_table};
 use vardelay_bench::checkpoint::{checkpoint_dir, Checkpoint, CsvRecord};
 use vardelay_bench::{
-    ablation, artifact, backends_campaign, checkpoint, eyes, faults_campaign, fine_delay,
-    injection, serve_bench, skew, try_output_dir,
+    ablation, backends_campaign, checkpoint, cold_calibration_allocs, eyes, faults_campaign,
+    fine_delay, injection, serve_bench, skew, try_output_dir,
 };
 use vardelay_measure::report::fmt_ps;
 use vardelay_measure::{Series, Table};
 use vardelay_obs as obs;
-use vardelay_obs::journal;
 use vardelay_obs::json::Value;
-use vardelay_runner::{Deadline, Runner};
+use vardelay_obs::{artifact, journal};
+use vardelay_runner::Runner;
 
 /// The append-only benchmark journal at the repository root (see
 /// EXPERIMENTS.md §Runtime for the record schema).
@@ -512,6 +512,8 @@ fn unix_ms() -> u64 {
 fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resume_skips: usize) {
     let points = CSV_POINTS.load(Ordering::Relaxed);
     let files = CSV_FILES.load(Ordering::Relaxed);
+    // Taken before the allocation pass below adds its own counts.
+    let metrics = obs::enabled().then(obs::snapshot);
     let MemoStats {
         hits,
         misses,
@@ -549,21 +551,20 @@ fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resum
         // The hot-path dimensions (per-request p99 solve time and
         // allocations per solve request) come from the obs registry, so
         // a `VARDELAY_OBS=0` run simply omits them — the hotpath compare
-        // gate skips uninstrumented records.
+        // gate skips uninstrumented records. The allocation count comes
+        // from one cold serial calibration after every other field is
+        // read: the run's own pool counter depends on how its batches
+        // were scheduled across threads.
         let solve = obs::histogram("core.solve_us").summary();
         if solve.count > 0 {
-            let allocs = obs::counter("waveform.pool_allocs").get();
-            record = record.with("solve_p99_us", solve.p99).with(
-                "allocs_per_request",
-                ((allocs as f64 / solve.count as f64) * 1000.0).round() / 1000.0,
-            );
+            let allocs = cold_calibration_allocs();
+            record = record
+                .with("solve_p99_us", solve.p99)
+                .with("allocs_per_request", allocs as f64);
             println!(
-                "hotpath: {} solve(s), p99 {} \u{00b5}s, {:.1} allocs/request \
-                 ({} pool reuses)",
-                solve.count,
-                solve.p99,
-                allocs as f64 / solve.count as f64,
-                obs::counter("waveform.pool_reuses").get()
+                "hotpath: {} solve(s), p99 {} \u{00b5}s, {allocs} allocs/request \
+                 (one cold serial calibration)",
+                solve.count, solve.p99
             );
         }
         if resume_skips > 0 {
@@ -582,12 +583,8 @@ fn write_runtime_record(arg: &str, wall_s: f64, timings: &[(String, f64)], resum
             }
         }
     }
-    if obs::enabled() {
-        println!(
-            "\n--- metrics ({}) ---\n{}",
-            "vardelay-obs",
-            obs::snapshot()
-        );
+    if let Some(metrics) = metrics {
+        println!("\n--- metrics (vardelay-obs) ---\n{metrics}");
     }
 }
 
@@ -841,9 +838,12 @@ fn run_backends() -> ! {
     std::process::exit(0);
 }
 
+/// One experiment: its name and the function that regenerates it.
+type Experiment = (&'static str, fn());
+
 /// Every experiment, in the paper's presentation order — the order
 /// `repro all` runs them and the order checkpoints are laid down in.
-const EXPERIMENTS: &[(&str, fn())] = &[
+const EXPERIMENTS: &[Experiment] = &[
     ("fig7", fig7),
     ("fig9", fig9),
     ("fig12", fig12),
@@ -864,11 +864,11 @@ const EXPERIMENTS: &[(&str, fn())] = &[
 /// table. Duplicate names are collapsed to their first occurrence —
 /// `repro fig12,fig12` must not run the experiment twice and
 /// double-write its checkpoint. `Err` carries the first unknown name.
-fn parse_selection(arg: &str) -> Result<Vec<(&'static str, fn())>, String> {
+fn parse_selection(arg: &str) -> Result<Vec<Experiment>, String> {
     if arg == "all" {
         return Ok(EXPERIMENTS.to_vec());
     }
-    let mut picked: Vec<(&'static str, fn())> = Vec::new();
+    let mut picked: Vec<Experiment> = Vec::new();
     for name in arg.split(',').filter(|s| !s.is_empty()) {
         match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
             Some(&entry) => {
@@ -906,27 +906,25 @@ fn save_failure_count() -> usize {
         .len()
 }
 
-/// Runs one experiment, under a post-hoc deadline when
-/// `VARDELAY_DEADLINE_MS` is set. Returns whether the experiment is
-/// checkpointable (completed within budget without panicking).
-fn run_experiment(name: &str, f: fn(), budget: Option<Duration>) -> bool {
-    let Some(budget) = budget else {
+/// The per-experiment wall-clock budget, `VARDELAY_DEADLINE_MS=N` with
+/// N > 0. `None` when unset or unparseable: the budget is opt-in, because
+/// whether an experiment beats it depends on the machine.
+fn deadline_budget_from_env() -> Option<Duration> {
+    std::env::var("VARDELAY_DEADLINE_MS")
+        .ok()
+        .and_then(|s| s.trim().parse::<u64>().ok())
+        .filter(|&ms| ms > 0)
+        .map(Duration::from_millis)
+}
+
+/// Runs one experiment. Under a deadline budget it runs isolated on the
+/// serial runner, so a panic becomes a recorded failure instead of
+/// aborting the run; without one a panic aborts.
+fn run_experiment(name: &str, f: fn(), isolate: bool) {
+    if !isolate {
         f();
-        return true;
-    };
-    // One task on the serial runner: the supervisor thread flags the
-    // straggler, and even an experiment that never polls the token is
-    // caught post-hoc (elapsed > budget ⇒ DeadlineExceeded).
-    match Runner::serial()
-        .run_with_deadline(1, budget, |_, _deadline: &Deadline| f())
-        .pop()
-    {
-        Some(Ok(())) => true,
-        Some(Err(e)) => {
-            record_save_failure(format!("experiment {name}: {e}"));
-            false
-        }
-        None => false,
+    } else if let Some(Err(e)) = Runner::serial().try_run(1, |_| f()).pop() {
+        record_save_failure(format!("experiment {name}: {e}"));
     }
 }
 
@@ -962,7 +960,7 @@ fn main() {
         Ok(n) => println!("repro: swept {n} stale .tmp file(s) from an interrupted run"),
     }
 
-    let deadline_budget = Deadline::budget_from_env();
+    let deadline_budget = deadline_budget_from_env();
     if let Some(b) = deadline_budget {
         println!(
             "repro: per-experiment deadline {} ms (VARDELAY_DEADLINE_MS)",
@@ -996,13 +994,24 @@ fn main() {
         drain_csv_digests(); // discard any leftovers from a failed experiment
         let failures_before = save_failure_count();
         let t0 = Instant::now();
-        let completed = {
+        {
             let _span = obs::span(&format!("repro.{name}_us"));
-            run_experiment(name, f, deadline_budget)
-        };
-        timings.push((name.to_owned(), t0.elapsed().as_secs_f64()));
+            run_experiment(name, f, deadline_budget.is_some());
+        }
+        let elapsed = t0.elapsed();
+        timings.push((name.to_owned(), elapsed.as_secs_f64()));
+        // The budget is checked after the fact, against the experiment's
+        // own timer: an experiment over budget keeps its CSVs but is not
+        // checkpointed, and the run exits 1.
+        if let Some(budget) = deadline_budget.filter(|&budget| elapsed > budget) {
+            record_save_failure(format!(
+                "experiment {name}: exceeded its {} ms deadline (ran {} ms)",
+                budget.as_millis(),
+                elapsed.as_millis()
+            ));
+        }
         let csvs = drain_csv_digests();
-        if completed && save_failure_count() == failures_before {
+        if save_failure_count() == failures_before {
             let ck = Checkpoint {
                 experiment: name.to_owned(),
                 fingerprint: fp,

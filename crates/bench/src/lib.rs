@@ -6,8 +6,9 @@
 //!
 //! * the [`repro`](../repro/index.html) binary, which prints the same
 //!   rows/series the paper reports (and writes CSVs under
-//!   `target/repro/`);
-//! * the criterion benches in `benches/figures.rs`;
+//!   `target/repro/`), timing each experiment into its journal record;
+//! * the standalone benchmark's `figures` workload, which times the
+//!   whole reproduction from cold caches;
 //! * the workspace integration tests, which assert the *shape* of each
 //!   result (who wins, trends, crossovers) against the paper.
 //!
@@ -15,7 +16,6 @@
 //! paper-vs-measured records.
 
 pub mod ablation;
-pub mod artifact;
 pub mod backends_campaign;
 pub mod checkpoint;
 pub mod extensions;
@@ -27,6 +27,9 @@ pub mod restart;
 pub mod serve_bench;
 pub mod skew;
 pub mod soak;
+
+use vardelay_core::{CombinedDelayCircuit, ModelConfig};
+use vardelay_runner::Runner;
 
 /// Default seed used by every experiment so the published numbers are
 /// reproducible run-to-run.
@@ -55,4 +58,28 @@ pub fn try_output_dir() -> std::io::Result<std::path::PathBuf> {
 /// [`try_output_dir`].
 pub fn output_dir() -> std::path::PathBuf {
     try_output_dir().expect("create target/repro")
+}
+
+/// Waveform-pool allocations of one cold calibration request: the
+/// measurement memo is emptied, then the quiet paper prototype is
+/// calibrated on [`Runner::serial`] on a freshly spawned thread, whose
+/// thread-local pool starts empty. The count is the same on every call
+/// and at every `VARDELAY_THREADS`, unlike the process-wide counter over
+/// a parallel run, where every batch's fresh workers start with empty
+/// pools. `repro` journals it as `allocs_per_request`.
+///
+/// The pool counts through the process-wide `waveform.pool_allocs`
+/// counter, so obs must be recording and nothing else may simulate
+/// while the pass runs.
+pub fn cold_calibration_allocs() -> u64 {
+    vardelay_analog::clear_characterization_cache();
+    std::thread::spawn(|| {
+        let allocs = || vardelay_obs::counter("waveform.pool_allocs").get();
+        let before = allocs();
+        CombinedDelayCircuit::new(&ModelConfig::paper_prototype().quiet(), EXPERIMENT_SEED)
+            .calibrate_with(Runner::serial());
+        allocs() - before
+    })
+    .join()
+    .expect("the calibration pass does not panic")
 }

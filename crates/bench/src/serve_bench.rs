@@ -7,13 +7,17 @@
 //! behind its schedule (because responses are slow) stops sleeping and
 //! fires back-to-back until it catches up, so a slow server faces
 //! *more* concurrent pressure, not politely reduced load. Latency is
-//! measured send→response per request; backlog the server accumulates
-//! under that pressure lands in the tail quantiles.
+//! timed from each request's **scheduled** send to its response, so a
+//! server stall is charged to every request that was due during it,
+//! not only to the one in flight (no coordinated omission).
 //!
-//! Latencies land in a local obs log₂ [`Histogram`]; the resulting
-//! p50/p95/p99 plus throughput and per-kind response counts become a
-//! `serve-bench` journal record, gated by `repro compare serve-bench`
-//! (see [`vardelay_obs::journal::GATES`]).
+//! Both campaigns — the single-tenant SLO load ([`run_load`]) and the
+//! multi-tenant fairness campaign ([`run_mt_load`]) — run through that
+//! one client loop. Latencies land in a local obs log₂ [`Histogram`];
+//! the resulting quantiles plus throughput and per-kind response counts
+//! become a `serve-bench` or `serve-bench-mt` journal record, gated by
+//! `repro compare serve-bench` / `fairness` (see
+//! [`vardelay_obs::journal::GATES`]).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +27,7 @@ use vardelay_obs::journal;
 use vardelay_obs::json::Value;
 use vardelay_obs::Histogram;
 use vardelay_runner::task_seed;
-use vardelay_serve::{Client, Envelope, ErrorKind, Request, Response};
+use vardelay_serve::{Client, Envelope, ErrorKind, Request, Response, StatsReply};
 use vardelay_siggen::SplitMix64;
 
 use crate::EXPERIMENT_SEED;
@@ -84,7 +88,7 @@ pub struct LoadReport {
     pub wall: Duration,
     /// Completed responses per second.
     pub throughput_rps: f64,
-    /// Median send→response latency, microseconds.
+    /// Median latency from scheduled send to response, microseconds.
     pub p50_us: u64,
     /// 95th-percentile latency, microseconds.
     pub p95_us: u64,
@@ -171,80 +175,135 @@ fn request_for(rng: &mut SplitMix64, client: usize, k: usize) -> Request {
     }
 }
 
-/// Runs the load against a server at `addr` and gathers the report.
+/// One client connection of an open-loop run.
+struct ClientPlan {
+    /// Tenant label sent with every request, if any.
+    tenant: Option<String>,
+    /// Requests to send.
+    requests: usize,
+    /// Mean of the exponential inter-arrival gap, microseconds.
+    mean_gap_us: f64,
+}
+
+/// What one open-loop run measured.
+struct Drive {
+    /// Latency of every answered request, from its scheduled send.
+    latency: Histogram,
+    counts: ResponseCounts,
+    /// `ok` responses per client, in client order.
+    ok_per_client: Vec<u64>,
+    wall: Duration,
+}
+
+/// The open-loop client loop both campaigns share. Connects every client
+/// up front (so a dead server is a clean error, not a pile of per-thread
+/// failures), then runs one thread per client: client `i` draws its
+/// arrival gaps and request mix from `task_seed(seed, i)`, sleeps until
+/// each request is due (or sends at once when behind schedule), and
+/// times the request from when it was due, not from when it went out.
 ///
 /// Latency histograms require obs to be recording, so this forces
-/// [`vardelay_obs::set_enabled`]`(true)` for the duration — the load
-/// run *is* the measurement, there is nothing to opt out of.
+/// [`vardelay_obs::set_enabled`]`(true)` — the load run *is* the
+/// measurement, there is nothing to opt out of.
+fn drive(addr: SocketAddr, seed: u64, plans: &[ClientPlan]) -> std::io::Result<Drive> {
+    vardelay_obs::set_enabled(true);
+    let latency = Histogram::new();
+    let counts = ResponseCounts::default();
+    let clients = plans
+        .iter()
+        .map(|_| Client::connect(addr))
+        .collect::<std::io::Result<Vec<Client>>>()?;
+
+    let started = Instant::now();
+    let ok_per_client = std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .into_iter()
+            .zip(plans)
+            .enumerate()
+            .map(|(client_index, (mut client, plan))| {
+                let (latency, counts) = (&latency, &counts);
+                scope.spawn(move || {
+                    let mut rng = SplitMix64::new(task_seed(seed, client_index as u64));
+                    let mut scheduled_us = 0.0f64;
+                    let mut ok = 0u64;
+                    for k in 0..plan.requests {
+                        // Exponential inter-arrival gap, fixed by seed: the
+                        // schedule does not react to server speed.
+                        scheduled_us += -plan.mean_gap_us * (1.0 - rng.next_f64()).ln();
+                        let scheduled = started + Duration::from_micros(scheduled_us as u64);
+                        if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
+                            std::thread::sleep(wait);
+                        }
+                        let envelope = Envelope {
+                            id: Some((client_index * 1_000_000 + k) as u64),
+                            deadline_ms: None,
+                            tenant: plan.tenant.clone(),
+                            req_id: None,
+                            backend: None,
+                            request: request_for(&mut rng, client_index, k),
+                        };
+                        match client.call(&envelope) {
+                            Ok((_, response)) => {
+                                latency.record(scheduled.elapsed().as_micros() as u64);
+                                counts.count(&response);
+                                ok += u64::from(response.error_kind().is_none());
+                            }
+                            Err(_) => {
+                                counts.transport.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                    ok
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("load client thread panicked"))
+            .collect()
+    });
+    Ok(Drive {
+        latency,
+        counts,
+        ok_per_client,
+        wall: started.elapsed(),
+    })
+}
+
+/// One `stats` call on a fresh connection, for the server-side shape
+/// (its worker count is the gates' comparability key). `None` when the
+/// server does not answer it.
+fn server_stats(addr: SocketAddr) -> Option<StatsReply> {
+    match Client::connect(addr)
+        .and_then(|mut c| c.call(&Envelope::new(Request::Stats)))
+        .ok()?
+    {
+        (_, Response::Stats(stats)) => Some(stats),
+        _ => None,
+    }
+}
+
+/// Runs the load against a server at `addr` and gathers the report.
 ///
 /// # Errors
 ///
 /// Returns an I/O error only when the initial connections fail;
 /// failures mid-run are counted as `transport_errors` instead.
 pub fn run_load(addr: SocketAddr, config: &LoadConfig) -> std::io::Result<LoadReport> {
-    vardelay_obs::set_enabled(true);
-    let latency = Histogram::new();
-    let counts = ResponseCounts::default();
-
-    // Connect everything up front so a dead server is a clean error,
-    // not a pile of per-thread failures.
-    let mut clients: Vec<Client> = Vec::with_capacity(config.clients);
-    for _ in 0..config.clients {
-        clients.push(Client::connect(addr)?);
-    }
-
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for (client_index, mut client) in clients.drain(..).enumerate() {
-            let latency = &latency;
-            let counts = &counts;
-            let config = &config;
-            scope.spawn(move || {
-                let mut rng = SplitMix64::new(task_seed(config.seed, client_index as u64));
-                let mean_us = config.mean_gap.as_micros() as f64;
-                let mut scheduled_us = 0.0f64;
-                for k in 0..config.requests_per_client {
-                    // Exponential inter-arrival gap, fixed by seed: the
-                    // schedule does not react to server speed.
-                    scheduled_us += -mean_us * (1.0 - rng.next_f64()).ln();
-                    let scheduled = started + Duration::from_micros(scheduled_us as u64);
-                    if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    let envelope = Envelope {
-                        id: Some((client_index * 1_000_000 + k) as u64),
-                        deadline_ms: None,
-                        tenant: None,
-                        req_id: None,
-                        backend: None,
-                        request: request_for(&mut rng, client_index, k),
-                    };
-                    let sent = Instant::now();
-                    match client.call(&envelope) {
-                        Ok((_, response)) => {
-                            latency.record(sent.elapsed().as_micros() as u64);
-                            counts.count(&response);
-                        }
-                        Err(_) => {
-                            counts.transport.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let wall = started.elapsed();
-
-    // One authoritative stats call for the server's worker count (the
-    // gate's comparability key).
-    let workers = Client::connect(addr)
-        .and_then(|mut c| c.call(&Envelope::new(Request::Stats)))
-        .ok()
-        .and_then(|(_, response)| match response {
-            Response::Stats(stats) => Some(stats.workers),
-            _ => None,
+    let plans: Vec<ClientPlan> = (0..config.clients)
+        .map(|_| ClientPlan {
+            tenant: None,
+            requests: config.requests_per_client,
+            mean_gap_us: config.mean_gap.as_micros() as f64,
         })
-        .unwrap_or(0);
+        .collect();
+    let Drive {
+        latency,
+        counts,
+        wall,
+        ..
+    } = drive(addr, config.seed, &plans)?;
+    let workers = server_stats(addr).map_or(0, |stats| stats.workers);
 
     let requests = (config.clients * config.requests_per_client) as u64;
     let completed = requests - counts.transport.load(Ordering::Relaxed);
@@ -362,7 +421,7 @@ pub struct MtLoadReport {
     pub wall: Duration,
     /// Completed responses per second, all tenants.
     pub throughput_rps: f64,
-    /// Median send→response latency, microseconds.
+    /// Median latency from scheduled send to response, microseconds.
     pub p50_us: u64,
     /// 99th-percentile latency, microseconds.
     pub p99_us: u64,
@@ -454,92 +513,37 @@ impl MtLoadReport {
 /// Returns an I/O error only when the initial connections fail;
 /// failures mid-run are counted as `transport_errors` instead.
 pub fn run_mt_load(addr: SocketAddr, config: &MtLoadConfig) -> std::io::Result<MtLoadReport> {
-    vardelay_obs::set_enabled(true);
-    let latency = Histogram::new();
-    let counts = ResponseCounts::default();
-    let per_tenant_ok: Vec<AtomicU64> = (0..config.tenants).map(|_| AtomicU64::new(0)).collect();
     let total_clients = config.tenants * config.clients_per_tenant;
-
-    let mut clients: Vec<Client> = Vec::with_capacity(total_clients);
-    for _ in 0..total_clients {
-        clients.push(Client::connect(addr)?);
-    }
-
-    let requests_for = |tenant: usize| {
-        if config.hot_tenant == Some(tenant) {
-            config.requests_per_client * HOT_TENANT_FACTOR
-        } else {
-            config.requests_per_client
-        }
-    };
-
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for (client_index, mut client) in clients.drain(..).enumerate() {
-            let latency = &latency;
-            let counts = &counts;
-            let config = &config;
-            let per_tenant_ok = &per_tenant_ok;
-            scope.spawn(move || {
-                let tenant = client_index / config.clients_per_tenant;
-                let label = tenant_label(tenant);
-                let hot = config.hot_tenant == Some(tenant);
-                let requests = requests_for(tenant);
-                let mut rng = SplitMix64::new(task_seed(config.seed, client_index as u64));
-                let mean_us = config.mean_gap.as_micros() as f64
-                    / if hot { HOT_TENANT_FACTOR as f64 } else { 1.0 };
-                let mut scheduled_us = 0.0f64;
-                for k in 0..requests {
-                    scheduled_us += -mean_us * (1.0 - rng.next_f64()).ln();
-                    let scheduled = started + Duration::from_micros(scheduled_us as u64);
-                    if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    let envelope = Envelope {
-                        id: Some((client_index * 1_000_000 + k) as u64),
-                        deadline_ms: None,
-                        tenant: Some(label.clone()),
-                        req_id: None,
-                        backend: None,
-                        request: request_for(&mut rng, client_index, k),
-                    };
-                    let sent = Instant::now();
-                    match client.call(&envelope) {
-                        Ok((_, response)) => {
-                            latency.record(sent.elapsed().as_micros() as u64);
-                            counts.count(&response);
-                            if response.error_kind().is_none() {
-                                per_tenant_ok[tenant].fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => {
-                            counts.transport.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    let wall = started.elapsed();
-
-    // One authoritative stats call for the server-side shape (worker
-    // count is the gate's comparability key).
-    let (workers, shards, quota_rejections) = Client::connect(addr)
-        .and_then(|mut c| c.call(&Envelope::new(Request::Stats)))
-        .ok()
-        .and_then(|(_, response)| match response {
-            Response::Stats(stats) => Some((stats.workers, stats.shards, stats.quota_rejections)),
-            _ => None,
+    let plans: Vec<ClientPlan> = (0..total_clients)
+        .map(|client_index| {
+            let tenant = client_index / config.clients_per_tenant;
+            let factor = if config.hot_tenant == Some(tenant) {
+                HOT_TENANT_FACTOR
+            } else {
+                1
+            };
+            ClientPlan {
+                tenant: Some(tenant_label(tenant)),
+                requests: config.requests_per_client * factor,
+                mean_gap_us: config.mean_gap.as_micros() as f64 / factor as f64,
+            }
         })
-        .unwrap_or((0, 0, 0));
-
-    let per_tenant_ok: Vec<u64> = per_tenant_ok
-        .iter()
-        .map(|c| c.load(Ordering::Relaxed))
         .collect();
-    let requests: u64 = (0..config.tenants)
-        .map(|t| (requests_for(t) * config.clients_per_tenant) as u64)
-        .sum();
+    let Drive {
+        latency,
+        counts,
+        ok_per_client,
+        wall,
+    } = drive(addr, config.seed, &plans)?;
+    let (workers, shards, quota_rejections) = server_stats(addr).map_or((0, 0, 0), |stats| {
+        (stats.workers, stats.shards, stats.quota_rejections)
+    });
+
+    let mut per_tenant_ok = vec![0u64; config.tenants];
+    for (client_index, ok) in ok_per_client.into_iter().enumerate() {
+        per_tenant_ok[client_index / config.clients_per_tenant] += ok;
+    }
+    let requests: u64 = plans.iter().map(|plan| plan.requests as u64).sum();
     let ok = counts.ok.load(Ordering::Relaxed);
     let overloaded = counts.overloaded.load(Ordering::Relaxed);
     let transport_errors = counts.transport.load(Ordering::Relaxed);
@@ -654,6 +658,58 @@ mod tests {
                 assert!((0.0..=120.0).contains(ps));
             }
         }
+    }
+
+    #[test]
+    fn a_stalled_reply_is_charged_to_every_request_due_during_it() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::TcpListener;
+
+        // A throwaway responder: it answers every line at once, except
+        // the 50th, which it holds for 250 ms. It serves two connections
+        // — the load client and the closing `stats` call.
+        const STALL: Duration = Duration::from_millis(250);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let responder = std::thread::spawn(move || {
+            let mut lines = 0usize;
+            for stream in listener.incoming().take(2) {
+                let mut stream = stream.unwrap();
+                let reader = BufReader::new(stream.try_clone().unwrap());
+                for line in reader.lines() {
+                    if line.is_err() {
+                        break;
+                    }
+                    lines += 1;
+                    if lines == 50 {
+                        std::thread::sleep(STALL);
+                    }
+                    let reply = Response::Draining.to_value(None).render() + "\n";
+                    if stream.write_all(reply.as_bytes()).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+
+        let config = LoadConfig {
+            clients: 1,
+            requests_per_client: 300,
+            mean_gap: Duration::from_millis(1),
+            seed: EXPERIMENT_SEED,
+        };
+        let report = run_load(addr, &config).unwrap();
+        responder.join().unwrap();
+        assert_eq!((report.ok, report.transport_errors), (300, 0), "{report:?}");
+        // About 250 of the 300 requests fall due while the reply is held,
+        // and each waits out the rest of the stall. Timed from their
+        // actual send instead, only the held request would see it, and
+        // p99 would read a loopback round trip.
+        assert!(
+            report.p99_us >= 200_000,
+            "p99 {} us hides a {STALL:?} stall",
+            report.p99_us
+        );
     }
 
     #[test]

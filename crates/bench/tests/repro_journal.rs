@@ -207,3 +207,38 @@ fn compare_reports_too_few_records_after_filtering() {
         "one clear diagnostic line, got: {stderr}"
     );
 }
+
+/// `VARDELAY_DEADLINE_MS=N` is a per-experiment wall-clock budget: an
+/// experiment past it is reported by name, is not checkpointed, and
+/// turns the exit status red. Unset, the same experiment passes.
+#[test]
+fn an_experiment_over_its_deadline_budget_fails_the_run() {
+    let scratch = Scratch::new("deadline");
+    let checkpoint = scratch.dir.join("target/repro/checkpoints/fig7.json");
+
+    let out = scratch.repro_env(&["fig7"], &[("VARDELAY_DEADLINE_MS", "1")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "over budget → exit 1: {stderr}");
+    assert!(
+        stderr.contains("experiment fig7: exceeded its 1 ms deadline"),
+        "the diagnostic names the experiment: {stderr}"
+    );
+    assert!(
+        !checkpoint.exists(),
+        "an over-budget run is not checkpointed"
+    );
+
+    let unset = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("fig7")
+        .current_dir(&scratch.dir)
+        .env_remove("VARDELAY_DEADLINE_MS")
+        .output()
+        .expect("spawn repro");
+    assert_eq!(
+        unset.status.code(),
+        Some(0),
+        "no budget → exit 0: {}",
+        String::from_utf8_lossy(&unset.stderr)
+    );
+    assert!(checkpoint.is_file(), "a clean run is checkpointed");
+}

@@ -144,7 +144,14 @@ mod tests {
         let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let ys: Vec<f64> = xs
             .iter()
-            .map(|x| 2.0 * x + if (*x as u64) % 2 == 0 { 1.0 } else { -1.0 })
+            .map(|x| {
+                2.0 * x
+                    + if (*x as u64).is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+            })
             .collect();
         let f = linear_fit(&xs, &ys).unwrap();
         assert!((f.slope - 2.0).abs() < 0.01);

@@ -20,9 +20,9 @@
 //! Two failure disciplines are offered: [`Runner::run`] propagates the
 //! first task panic to the caller (the default — a bug in experiment code
 //! should abort loudly), while [`Runner::try_run`] isolates each task
-//! under `catch_unwind` and returns `Vec<Result<T, TaskError>>`, with an
-//! optional deterministic bounded-[`RetryPolicy`] — the substrate of the
-//! fault-injection campaigns (DESIGN.md §10).
+//! under `catch_unwind` and returns `Vec<Result<T, TaskError>>`, for a
+//! batch that must survive a panicking member (`repro` runs an experiment
+//! under a `VARDELAY_DEADLINE_MS` budget through it; DESIGN.md §10–§11).
 //!
 //! Every batch is instrumented through `vardelay-obs` (DESIGN.md §9):
 //! batch/task counters, a per-batch duration span, worker-balance and
@@ -42,214 +42,87 @@
 //! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use vardelay_obs as obs;
 use vardelay_siggen::SplitMix64;
 
-/// Error describing one failed task in a fallible batch run through
-/// [`Runner::try_run`] or [`Runner::run_with_deadline`].
+/// One failed task of a batch run through [`Runner::try_run`]: its index
+/// and its panic message.
 ///
-/// For [`TaskError::Panicked`] the message is the panic payload when it
-/// was a `&str`/`String` (the overwhelmingly common case — `panic!`,
-/// `assert!`, `expect`), so the error is a deterministic function of the
-/// task's inputs and campaign results containing it stay
-/// bit-reproducible at every thread count. [`TaskError::DeadlineExceeded`]
-/// is inherently wall-clock dependent — deadline runs are robustness
-/// gates, not byte-pinned outputs (DESIGN.md §11).
+/// The message is the panic payload when it was a `&str`/`String` (the
+/// overwhelmingly common case — `panic!`, `assert!`, `expect`), so the
+/// error is a deterministic function of the task's inputs and a batch
+/// result containing it stays bit-reproducible at every thread count.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskError {
-    /// The task panicked on its final attempt.
-    Panicked {
-        /// Index of the failed task within its batch.
-        task: usize,
-        /// How many times the task was attempted (≥ 1).
-        attempts: u32,
-        /// The panic message of the final attempt.
-        message: String,
-    },
-    /// The task ran past its [`Deadline`] budget — either it bailed
-    /// cooperatively at a [`Deadline::check`] point, or the supervisor
-    /// flagged it as a straggler and it finished late.
-    DeadlineExceeded {
-        /// Index of the flagged task within its batch.
-        task: usize,
-        /// The per-task budget it was given, milliseconds.
-        budget_ms: u64,
-        /// How long it actually ran, milliseconds.
-        elapsed_ms: u64,
-    },
-}
-
-impl TaskError {
-    /// Index of the failed task within its batch, for either variant.
-    pub fn task(&self) -> usize {
-        match *self {
-            TaskError::Panicked { task, .. } | TaskError::DeadlineExceeded { task, .. } => task,
-        }
-    }
-
-    /// Whether this is a [`TaskError::DeadlineExceeded`].
-    pub fn is_deadline(&self) -> bool {
-        matches!(self, TaskError::DeadlineExceeded { .. })
-    }
+pub struct TaskError {
+    /// Index of the failed task within its batch.
+    pub task: usize,
+    /// The panic message.
+    pub message: String,
 }
 
 impl core::fmt::Display for TaskError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            TaskError::Panicked {
-                task,
-                attempts,
-                message,
-            } => write!(
-                f,
-                "task {task} panicked after {attempts} attempt(s): {message}"
-            ),
-            TaskError::DeadlineExceeded {
-                task,
-                budget_ms,
-                elapsed_ms,
-            } => write!(
-                f,
-                "task {task} exceeded its {budget_ms} ms deadline (ran {elapsed_ms} ms)"
-            ),
-        }
+        write!(f, "task {} panicked: {}", self.task, self.message)
     }
 }
 
 impl std::error::Error for TaskError {}
 
-/// Cooperative deadline token threaded into [`Runner::run_with_deadline`]
-/// tasks.
+/// Cooperative wall-clock budget for one unit of work (a served request
+/// in `vardelay-serve`).
 ///
-/// The token is cheap to clone (an `Arc<AtomicBool>` plus two plain
-/// values) and answers [`Deadline::expired`] from either side: the flag
-/// the supervisor thread flips when it spots a straggler — a relaxed
-/// atomic load, no clock syscall — or, as a fallback that works without
-/// any supervisor, a direct elapsed-vs-budget comparison. Long-running
-/// tasks call [`Deadline::check`] at natural cancellation points (once
-/// per sweep step, per channel, per scenario) to bail as soon as the
-/// budget is gone instead of wasting the rest of the campaign's wall
-/// clock.
+/// The token is a start instant and a budget; [`Deadline::expired`]
+/// compares the two. Long-running work calls [`Deadline::check`] at
+/// natural cancellation points (once per sweep step, per channel, per
+/// scenario) to bail as soon as the budget is gone instead of wasting
+/// the rest of its wall clock.
 #[derive(Debug, Clone)]
 pub struct Deadline {
     start: Instant,
     budget: Duration,
-    flagged: Arc<AtomicBool>,
 }
 
-/// Sentinel panic payload for a cooperative deadline bail — recognized
-/// by [`Runner::run_with_deadline`] (and any other supervisor that
-/// catches task unwinds, e.g. the `vardelay-serve` worker pool) and
-/// converted to [`TaskError::DeadlineExceeded`] instead of a panic
-/// error. Probe a caught payload with `payload.is::<DeadlineBail>()`.
+/// Sentinel panic payload of a cooperative deadline bail
+/// ([`Deadline::check`]). A supervisor that catches task unwinds (the
+/// `vardelay-serve` worker pool) probes a caught payload with
+/// `payload.is::<DeadlineBail>()` to tell a bail from a real panic.
 pub struct DeadlineBail;
 
 impl Deadline {
-    /// A deadline starting now with the given per-task budget.
+    /// A deadline starting now with the given budget.
     pub fn after(budget: Duration) -> Self {
         Deadline {
             start: Instant::now(),
             budget,
-            flagged: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// The per-task budget.
+    /// The budget.
     pub fn budget(&self) -> Duration {
         self.budget
     }
 
-    /// Time since the task started.
+    /// Time since the deadline started.
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
-    /// Budget remaining (zero once expired).
-    pub fn remaining(&self) -> Duration {
-        self.budget.saturating_sub(self.elapsed())
-    }
-
-    /// Whether the budget is gone — flagged by the supervisor, or past
-    /// the budget by this task's own clock.
+    /// Whether the budget is gone.
     pub fn expired(&self) -> bool {
-        self.flagged.load(Ordering::Relaxed) || self.elapsed() > self.budget
-    }
-
-    /// Marks the deadline expired (supervisor side; idempotent).
-    pub fn expire(&self) {
-        self.flagged.store(true, Ordering::Relaxed);
+        self.elapsed() > self.budget
     }
 
     /// Cooperative cancellation point: returns immediately while the
-    /// budget holds, bails out of the task (unwinds with a sentinel the
-    /// runner converts to [`TaskError::DeadlineExceeded`]) once it is
+    /// budget holds, unwinds with a [`DeadlineBail`] payload once it is
     /// gone.
     pub fn check(&self) {
         if self.expired() {
             std::panic::panic_any(DeadlineBail);
         }
-    }
-
-    /// The per-task budget configured in the environment:
-    /// `VARDELAY_DEADLINE_MS=N` (N > 0). `None` when unset or
-    /// unparseable — deadline enforcement is strictly opt-in, because
-    /// flagging is wall-clock dependent.
-    pub fn budget_from_env() -> Option<Duration> {
-        std::env::var("VARDELAY_DEADLINE_MS")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-    }
-}
-
-/// Bounded-retry policy for [`Runner::try_run_with_retry`].
-///
-/// Retries are for *transient* faults (a flaky measurement, an injected
-/// soft error); each retry simply re-invokes the task closure with the
-/// same index. The backoff schedule is **deterministic and simulated**:
-/// `backoff_base_us << (attempt − 1)` is recorded in the
-/// `runner.retry_backoff_us` histogram but never slept on, so retrying
-/// changes no experiment bytes and costs no wall clock (DESIGN.md §10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum attempts per task (clamped to at least 1).
-    pub max_attempts: u32,
-    /// Base of the simulated exponential backoff schedule, microseconds.
-    pub backoff_base_us: u64,
-}
-
-impl RetryPolicy {
-    /// No retries: one attempt per task.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_base_us: 0,
-        }
-    }
-
-    /// Up to `max_attempts` attempts with a 100 µs simulated backoff base.
-    pub fn attempts(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            backoff_base_us: 100,
-        }
-    }
-
-    /// The simulated backoff before retry number `attempt` (1-based count
-    /// of attempts already made).
-    pub fn backoff_us(&self, attempt: u32) -> u64 {
-        self.backoff_base_us << (attempt - 1).min(16)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
     }
 }
 
@@ -473,186 +346,26 @@ impl Runner {
     /// batch to a per-task [`TaskError`] instead of aborting it. Results
     /// keep task order, and since the error message is derived from the
     /// panic payload, the whole `Vec` is bit-identical at every thread
-    /// count.
+    /// count. Each task runs once; a panic bumps `runner.task_panics`.
     ///
     /// The default [`Runner::run`] stays panic-propagating — use this
-    /// path when a batch must survive faulty members (fault-injection
-    /// campaigns, degraded-mode deskew).
+    /// path when a batch must survive faulty members.
     pub fn try_run<T, F>(&self, n: usize, f: F) -> Vec<Result<T, TaskError>>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.try_run_with_retry(n, RetryPolicy::none(), f)
-    }
-
-    /// [`Runner::try_run`] with a deterministic bounded-retry policy: a
-    /// panicking task is re-invoked up to `policy.max_attempts` times
-    /// before its [`TaskError`] is recorded. Backoff is simulated (see
-    /// [`RetryPolicy`]) — recorded in `runner.retry_backoff_us`, never
-    /// slept on — so retried batches stay bit-reproducible.
-    ///
-    /// Instrumented with `runner.task_panics` / `runner.task_retries`
-    /// counters and a `runner.task_attempts` histogram.
-    pub fn try_run_with_retry<T, F>(
-        &self,
-        n: usize,
-        policy: RetryPolicy,
-        f: F,
-    ) -> Vec<Result<T, TaskError>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let max_attempts = policy.max_attempts.max(1);
-        let f = &f;
-        self.run(n, move |i| {
-            let mut attempt = 0;
-            loop {
-                attempt += 1;
-                match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(value) => {
-                        if obs::enabled() {
-                            obs::histogram("runner.task_attempts").record(attempt as u64);
-                        }
-                        return Ok(value);
-                    }
-                    Err(payload) => {
-                        if obs::enabled() {
-                            obs::counter("runner.task_panics").incr();
-                        }
-                        if attempt < max_attempts {
-                            if obs::enabled() {
-                                obs::counter("runner.task_retries").incr();
-                                obs::histogram("runner.retry_backoff_us")
-                                    .record(policy.backoff_us(attempt));
-                            }
-                            continue;
-                        }
-                        if obs::enabled() {
-                            obs::histogram("runner.task_attempts").record(attempt as u64);
-                        }
-                        return Err(TaskError::Panicked {
-                            task: i,
-                            attempts: attempt,
-                            message: panic_message(payload.as_ref()),
-                        });
-                    }
-                }
-            }
-        })
-    }
-
-    /// Runs tasks `0..n` like [`Runner::try_run`], but with a per-task
-    /// wall-clock `budget`: each task receives a cooperative [`Deadline`]
-    /// token, and a **supervisor thread** watches the batch, flagging any
-    /// straggler whose elapsed time passes the budget. A flagged task's
-    /// result becomes [`TaskError::DeadlineExceeded`] whether it bailed
-    /// at a [`Deadline::check`] point or ran to completion late — the
-    /// supervisor cannot kill a thread, so a non-cooperative straggler
-    /// still occupies its worker until it returns, but its overrun is
-    /// observed live (`runner.deadline_flagged`) and its result is
-    /// quarantined rather than trusted.
-    ///
-    /// Instrumented with the `runner.deadline_exceeded` counter and the
-    /// `runner.task_overrun_us` histogram (overrun past budget, µs).
-    ///
-    /// Determinism caveat: whether a borderline task beats its budget is
-    /// wall-clock dependent. Use deadlines as a robustness gate
-    /// (`VARDELAY_DEADLINE_MS`, chaos runs), not inside byte-pinned
-    /// experiment paths (DESIGN.md §11).
-    pub fn run_with_deadline<T, F>(
-        &self,
-        n: usize,
-        budget: Duration,
-        f: F,
-    ) -> Vec<Result<T, TaskError>>
-    where
-        T: Send,
-        F: Fn(usize, &Deadline) -> T + Sync,
-    {
-        // Supervisor plumbing: tasks register their deadline tokens as
-        // they start; the supervisor ticks until the batch signals done,
-        // flipping the flag of any registered deadline past its budget.
-        let active: Arc<Mutex<Vec<Deadline>>> = Arc::new(Mutex::new(Vec::new()));
-        #[allow(clippy::mutex_atomic)] // Condvar needs the Mutex<bool>
-        let done = Arc::new((Mutex::new(false), Condvar::new()));
-        let supervisor = std::thread::spawn({
-            let active = Arc::clone(&active);
-            let done = Arc::clone(&done);
-            move || {
-                let (lock, cv) = &*done;
-                let mut finished = lock
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                while !*finished {
-                    let (guard, _) = cv
-                        .wait_timeout(finished, Duration::from_millis(1))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    finished = guard;
-                    let registered = active
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    for d in registered.iter() {
-                        if !d.flagged.load(Ordering::Relaxed) && d.elapsed() > d.budget {
-                            d.expire();
-                            if obs::enabled() {
-                                obs::counter("runner.deadline_flagged").incr();
-                            }
-                        }
-                    }
-                }
-            }
-        });
-
-        let f = &f;
-        let active_ref = &active;
-        let out = self.run(n, move |i| {
-            let deadline = Deadline::after(budget);
-            active_ref
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(deadline.clone());
-            let result = catch_unwind(AssertUnwindSafe(|| f(i, &deadline)));
-            let elapsed = deadline.elapsed();
-            let deadline_err = || {
+        self.run(n, |i| {
+            catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| {
                 if obs::enabled() {
-                    obs::counter("runner.deadline_exceeded").incr();
-                    obs::histogram("runner.task_overrun_us")
-                        .record(elapsed.saturating_sub(budget).as_micros() as u64);
+                    obs::counter("runner.task_panics").incr();
                 }
-                Err(TaskError::DeadlineExceeded {
+                TaskError {
                     task: i,
-                    budget_ms: budget.as_millis() as u64,
-                    elapsed_ms: elapsed.as_millis() as u64,
-                })
-            };
-            match result {
-                Err(payload) if payload.is::<DeadlineBail>() => deadline_err(),
-                Err(payload) => {
-                    if obs::enabled() {
-                        obs::counter("runner.task_panics").incr();
-                    }
-                    Err(TaskError::Panicked {
-                        task: i,
-                        attempts: 1,
-                        message: panic_message(payload.as_ref()),
-                    })
+                    message: panic_message(payload.as_ref()),
                 }
-                Ok(_) if elapsed > budget => deadline_err(),
-                Ok(value) => Ok(value),
-            }
-        });
-
-        {
-            let (lock, cv) = &*done;
-            *lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-            cv.notify_all();
-        }
-        let _ = supervisor.join();
-        out
+            })
+        })
     }
 }
 
@@ -781,12 +494,10 @@ mod tests {
         }
         assert_eq!(serial.iter().filter(|r| r.is_ok()).count(), 63);
         let err = serial[17].as_ref().unwrap_err();
-        assert_eq!(err.task(), 17);
         assert_eq!(
             *err,
-            TaskError::Panicked {
+            TaskError {
                 task: 17,
-                attempts: 1,
                 message: "injected fault on task 17".to_owned()
             }
         );
@@ -794,49 +505,6 @@ mod tests {
         // Healthy neighbours are untouched.
         assert_eq!(serial[16], Ok(32));
         assert_eq!(serial[18], Ok(36));
-    }
-
-    #[test]
-    fn retry_policy_recovers_transient_faults_deterministically() {
-        use std::sync::atomic::AtomicU32;
-        // Task 3 fails on its first two attempts, then succeeds; task 9
-        // fails forever. Attempt counters are per-task so the transient
-        // schedule is independent of scheduling order.
-        let failures: Vec<AtomicU32> = (0..16).map(|_| AtomicU32::new(0)).collect();
-        let work = |i: usize| {
-            let attempt = failures[i].fetch_add(1, Ordering::Relaxed) + 1;
-            if i == 3 && attempt <= 2 {
-                panic!("transient fault");
-            }
-            if i == 9 {
-                panic!("permanent fault");
-            }
-            i
-        };
-        let out = Runner::new(4).try_run_with_retry(16, RetryPolicy::attempts(3), work);
-        assert_eq!(out[3], Ok(3), "transient fault must be retried away");
-        match out[9].as_ref().unwrap_err() {
-            TaskError::Panicked {
-                attempts, message, ..
-            } => {
-                assert_eq!(*attempts, 3);
-                assert_eq!(message, "permanent fault");
-            }
-            other => panic!("expected panic error, got {other:?}"),
-        }
-        assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 15);
-    }
-
-    #[test]
-    fn retry_backoff_schedule_is_exponential_and_bounded() {
-        let p = RetryPolicy::attempts(4);
-        assert_eq!(p.backoff_us(1), 100);
-        assert_eq!(p.backoff_us(2), 200);
-        assert_eq!(p.backoff_us(3), 400);
-        // The shift is clamped so absurd attempt counts cannot overflow.
-        assert_eq!(p.backoff_us(1000), 100 << 16);
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
-        assert_eq!(RetryPolicy::attempts(0).max_attempts, 1);
     }
 
     #[test]
@@ -850,92 +518,21 @@ mod tests {
     }
 
     #[test]
-    fn deadline_run_passes_fast_tasks_through() {
-        let out = Runner::new(4).run_with_deadline(16, Duration::from_secs(30), |i, d| {
-            assert!(!d.expired(), "generous budget must not expire");
-            d.check(); // cooperative point is a no-op while the budget holds
-            i * i
-        });
-        assert_eq!(
-            out.into_iter().collect::<Result<Vec<_>, _>>().unwrap(),
-            (0..16).map(|i| i * i).collect::<Vec<_>>()
+    fn a_deadline_expires_by_its_own_clock_and_check_bails() {
+        let generous = Deadline::after(Duration::from_secs(30));
+        assert!(!generous.expired());
+        assert_eq!(generous.budget(), Duration::from_secs(30));
+        generous.check(); // a no-op while the budget holds
+
+        let spent = Deadline::after(Duration::ZERO);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(spent.expired());
+        assert!(spent.elapsed() >= Duration::from_millis(1));
+        let payload = catch_unwind(|| spent.check()).expect_err("an expired check bails");
+        assert!(
+            payload.is::<DeadlineBail>(),
+            "the bail carries its sentinel"
         );
-    }
-
-    #[test]
-    fn cooperative_straggler_is_flagged_by_the_supervisor() {
-        // Task 2 spins forever, checking its deadline each lap; the
-        // supervisor must flip the flag so `check` bails it out.
-        let out = Runner::new(4).run_with_deadline(8, Duration::from_millis(25), |i, d| {
-            if i == 2 {
-                loop {
-                    d.check();
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            i
-        });
-        assert_eq!(out.iter().filter(|r| r.is_ok()).count(), 7);
-        match out[2].as_ref().unwrap_err() {
-            TaskError::DeadlineExceeded {
-                task,
-                budget_ms,
-                elapsed_ms,
-            } => {
-                assert_eq!(*task, 2);
-                assert_eq!(*budget_ms, 25);
-                assert!(*elapsed_ms >= 25, "elapsed {elapsed_ms} ms");
-            }
-            other => panic!("expected deadline error, got {other:?}"),
-        }
-        assert!(out[2].as_ref().unwrap_err().is_deadline());
-    }
-
-    #[test]
-    fn non_cooperative_straggler_is_flagged_on_completion() {
-        obs::set_enabled(true);
-        let exceeded = obs::counter("runner.deadline_exceeded").get();
-        // The task never checks its deadline — it just takes too long.
-        // The supervisor cannot kill it, but its late result must be
-        // quarantined as DeadlineExceeded, not returned as Ok.
-        let out = Runner::new(2).run_with_deadline(3, Duration::from_millis(10), |i, _| {
-            if i == 1 {
-                std::thread::sleep(Duration::from_millis(40));
-            }
-            i
-        });
-        assert_eq!(out[0], Ok(0));
-        assert_eq!(out[2], Ok(2));
-        assert!(out[1].as_ref().unwrap_err().is_deadline(), "{:?}", out[1]);
-        assert!(obs::counter("runner.deadline_exceeded").get() > exceeded);
-        assert!(obs::histogram("runner.task_overrun_us").count() > 0);
-    }
-
-    #[test]
-    fn panics_under_deadline_stay_panic_errors() {
-        let out = Runner::new(2).run_with_deadline(4, Duration::from_secs(30), |i, _| {
-            assert!(i != 3, "boom on task 3");
-            i
-        });
-        match out[3].as_ref().unwrap_err() {
-            TaskError::Panicked { task, message, .. } => {
-                assert_eq!(*task, 3);
-                assert!(message.contains("boom on task 3"));
-            }
-            other => panic!("expected panic error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn deadline_budget_env_parsing() {
-        // Pure parsing probe on the token itself (env mutation in tests
-        // races other threads, so probe Deadline's arithmetic instead).
-        let d = Deadline::after(Duration::from_millis(50));
-        assert!(!d.expired());
-        assert!(d.remaining() <= Duration::from_millis(50));
-        assert_eq!(d.budget(), Duration::from_millis(50));
-        d.expire();
-        assert!(d.expired(), "supervisor flag forces expiry");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use vardelay_backend::BackendKind;
@@ -25,10 +25,10 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn durable_config(dir: &PathBuf) -> ServeConfig {
+fn durable_config(dir: &Path) -> ServeConfig {
     let mut config = ServeConfig::in_process();
     config.workers = 2;
-    config.state_dir = Some(dir.clone());
+    config.state_dir = Some(dir.to_path_buf());
     config
 }
 

@@ -166,7 +166,7 @@ mod tests {
         for order in [PrbsOrder::Prbs7, PrbsOrder::Prbs9, PrbsOrder::Prbs11] {
             let bits = full_period(order);
             let ones = bits.iter().filter(|&&b| b).count() as u64;
-            assert_eq!(ones, (order.period() + 1) / 2, "{order}");
+            assert_eq!(ones, order.period().div_ceil(2), "{order}");
         }
     }
 
