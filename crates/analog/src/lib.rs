@@ -36,7 +36,6 @@ pub mod crosstalk;
 pub mod ctle;
 pub mod deemphasis;
 pub mod fanout;
-pub mod fingerprint;
 pub mod lossy;
 pub mod memo;
 pub mod mux;
@@ -56,7 +55,6 @@ pub use crosstalk::CrosstalkCoupling;
 pub use ctle::Ctle;
 pub use deemphasis::DeEmphasis;
 pub use fanout::FanoutBuffer;
-pub use fingerprint::Fingerprint;
 pub use lossy::LossyChannel;
 pub use memo::{
     clear_characterization_cache, measure_point, memo_stats, set_memo_enabled, MemoStats, PointKey,

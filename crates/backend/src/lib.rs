@@ -99,17 +99,6 @@ impl BackendKind {
             .join(", ")
     }
 
-    /// The fleet-default kind from `VARDELAY_SERVE_BACKEND`. Unset,
-    /// empty, or unknown values fall back to [`BackendKind::Circuit`]
-    /// (the fallback is reported by the serve bootstrap, not silently
-    /// here, so a typo shows up in the server log).
-    pub fn from_env() -> BackendKind {
-        std::env::var("VARDELAY_SERVE_BACKEND")
-            .ok()
-            .and_then(|raw| BackendKind::from_name(raw.trim()))
-            .unwrap_or(BackendKind::Circuit)
-    }
-
     /// Whether a fault class is physically meaningful for this hardware
     /// family (DESIGN.md §17 capability table). Faults of inapplicable
     /// classes are skipped, not silently no-op'd, by campaign code.

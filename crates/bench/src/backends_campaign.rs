@@ -73,14 +73,6 @@ impl Default for BackendsConfig {
     }
 }
 
-impl BackendsConfig {
-    /// The default campaign (env knobs may grow here; the seed is
-    /// deliberately pinned so the CSV stays comparable run-over-run).
-    pub fn from_env() -> Self {
-        BackendsConfig::default()
-    }
-}
-
 /// Everything measured for one backend kind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendRow {

@@ -82,7 +82,7 @@ use vardelay_measure::report::fmt_ps;
 use vardelay_measure::{Series, Table};
 use vardelay_obs as obs;
 use vardelay_obs::json::Value;
-use vardelay_obs::{artifact, journal};
+use vardelay_obs::{artifact, env_knob, env_positive, journal};
 use vardelay_runner::Runner;
 
 /// The append-only benchmark journal at the repository root (see
@@ -92,8 +92,9 @@ const JOURNAL_PATH: &str = "BENCH_repro.json";
 /// Name of the experiment currently running, so a failed write can say
 /// which experiment's output was lost.
 static CURRENT_EXPERIMENT: Mutex<String> = Mutex::new(String::new());
-/// Human-readable descriptions of every failed write.
-static SAVE_FAILURES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+/// Human-readable descriptions of every run failure: a lost write, an
+/// experiment over budget or panicking, a campaign below expectations.
+static RUN_FAILURES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 /// Total CSV data points written (the repro throughput denominator).
 static CSV_POINTS: AtomicUsize = AtomicUsize::new(0);
 /// Total CSV files written (journal accounting; tracked outside the obs
@@ -125,9 +126,9 @@ fn current_experiment() -> String {
 
 /// Records a diagnostic that must turn the run's exit status red, without
 /// aborting the remaining experiments.
-fn record_save_failure(failure: String) {
+fn record_failure(failure: String) {
     eprintln!("repro: {failure}");
-    SAVE_FAILURES
+    RUN_FAILURES
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .push(failure);
@@ -155,7 +156,7 @@ fn save_csv(name: &str, csv: &str) {
             println!("  [csv: {}]", path.display());
         }
         Err(e) => {
-            record_save_failure(format!(
+            record_failure(format!(
                 "experiment {experiment}: could not save {name}.csv under target/repro: {e}"
             ));
         }
@@ -193,7 +194,7 @@ fn series_table(title: &str, series: &[&Series]) -> Table {
             .map(|s| format!("{} has {} points", s.label, s.len()))
             .collect::<Vec<_>>()
             .join("; ");
-        record_save_failure(format!(
+        record_failure(format!(
             "experiment {}: series lengths differ in table {title:?} ({lengths}); \
              truncated to the common {rows} rows",
             current_experiment()
@@ -468,7 +469,7 @@ fn faults() {
     println!("{}", campaign.summary());
     save_table("faults_campaign", &table);
     if campaign.detected() < campaign.expected() || !campaign.degraded_all_ok() {
-        record_save_failure(format!(
+        record_failure(format!(
             "experiment faults: campaign below expectations — {}",
             campaign.summary()
         ));
@@ -610,12 +611,21 @@ fn run_compare(target: Option<&str>) -> ! {
     std::process::exit(journal::exit_code(&results));
 }
 
+/// Unwraps a configuration read from the environment, or names the
+/// refused knob and exits 2 before anything binds or runs.
+fn or_refuse<T>(command: &str, config: Result<T, String>) -> T {
+    config.unwrap_or_else(|e| {
+        eprintln!("{command}: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// `repro serve` — runs the standalone delay-control server until a
 /// wire `shutdown` request arrives, then drains gracefully and appends
 /// a `serve-drain` record to the journal (so the CI smoke job can
 /// assert the drain flushed its counters).
 fn run_serve() -> ! {
-    let config = vardelay_serve::ServeConfig::from_env();
+    let config = or_refuse("repro serve", vardelay_serve::ServeConfig::from_env());
     let handle = match vardelay_serve::serve(config) {
         Ok(handle) => handle,
         Err(e) => {
@@ -662,16 +672,26 @@ fn run_serve_bench(mode: Option<&str>) -> ! {
             std::process::exit(2);
         }
     };
+    let mt_config =
+        mt.then(|| or_refuse("repro serve-bench", serve_bench::MtLoadConfig::from_env()));
+    let external = or_refuse(
+        "repro serve-bench",
+        env_knob("VARDELAY_SERVE_ADDR", "host:port", |raw| {
+            raw.parse::<std::net::SocketAddr>().ok()
+        }),
+    );
+    // The mt campaign exists to exercise the sharded path: default to
+    // the standalone shard count unless pinned.
+    let shards = or_refuse("repro serve-bench", env_positive("VARDELAY_SERVE_SHARDS"));
     let drive = |addr: std::net::SocketAddr| -> std::io::Result<(String, Value)> {
-        if mt {
-            let config = serve_bench::MtLoadConfig::from_env();
+        if let Some(config) = &mt_config {
             if let Some(hot) = config.hot_tenant {
                 println!(
                     "repro serve-bench: hot-tenant injection on tenant {hot} \
                      (VARDELAY_BENCH_HOT_TENANT)"
                 );
             }
-            serve_bench::run_mt_load(addr, &config)
+            serve_bench::run_mt_load(addr, config)
                 .map(|report| (report.summary(), report.record(&git_describe(), unix_ms())))
         } else {
             let config = serve_bench::LoadConfig::default();
@@ -679,31 +699,15 @@ fn run_serve_bench(mode: Option<&str>) -> ! {
                 .map(|report| (report.summary(), report.record(&git_describe(), unix_ms())))
         }
     };
-    let external = std::env::var("VARDELAY_SERVE_ADDR")
-        .ok()
-        .filter(|a| !a.trim().is_empty());
     let result = match external {
         Some(addr) => {
-            let addr: std::net::SocketAddr = match addr.parse() {
-                Ok(addr) => addr,
-                Err(e) => {
-                    eprintln!("repro serve-bench: bad VARDELAY_SERVE_ADDR {addr:?}: {e}");
-                    std::process::exit(2);
-                }
-            };
             println!("repro serve-bench: driving external server at {addr}");
             drive(addr)
         }
         None => {
             let mut config = vardelay_serve::ServeConfig::in_process();
             if mt {
-                // The mt campaign exists to exercise the sharded path:
-                // default to the standalone shard count unless pinned.
-                config.shards = std::env::var("VARDELAY_SERVE_SHARDS")
-                    .ok()
-                    .and_then(|raw| raw.trim().parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or(4);
+                config.shards = shards.unwrap_or(4);
             }
             let handle = match vardelay_serve::serve(config) {
                 Ok(handle) => handle,
@@ -749,7 +753,7 @@ fn run_serve_bench(mode: Option<&str>) -> ! {
 /// campaign that injected nothing has no healing measurement, and a
 /// zero-point record would only pollute the MTTR trajectory.
 fn run_soak() -> ! {
-    let config = vardelay_bench::soak::SoakConfig::from_env();
+    let config = or_refuse("repro soak", vardelay_bench::soak::SoakConfig::from_env());
     let report = match vardelay_bench::soak::run_soak(&config) {
         Ok(report) => report,
         Err(e) => {
@@ -782,7 +786,10 @@ fn run_soak() -> ! {
 /// still appends — the cold/warm measurement needs no injection; only
 /// the snapshot-sabotage leg is skipped.
 fn run_restart() -> ! {
-    let config = vardelay_bench::restart::RestartConfig::from_env();
+    let config = or_refuse(
+        "repro restart",
+        vardelay_bench::restart::RestartConfig::from_env(),
+    );
     let report = match vardelay_bench::restart::run_restart(&config) {
         Ok(report) => report,
         Err(e) => {
@@ -809,7 +816,7 @@ fn run_restart() -> ! {
 /// circuit, or an undetected fault exits 2 — the gate's evidence must
 /// never be silently green.
 fn run_backends() -> ! {
-    let config = backends_campaign::BackendsConfig::from_env();
+    let config = backends_campaign::BackendsConfig::default();
     let report = backends_campaign::backends_campaign(&config);
     let table = report.table();
     println!("{table}");
@@ -822,7 +829,7 @@ fn run_backends() -> ! {
         std::process::exit(1);
     }
     println!("repro backends: record appended [journal: {JOURNAL_PATH}]");
-    if save_failure_count() > 0 {
+    if failure_count() > 0 {
         std::process::exit(1);
     }
     let failed = report.contract_violations() > 0
@@ -899,22 +906,11 @@ fn usage_exit(unknown: &str) -> ! {
     std::process::exit(2);
 }
 
-fn save_failure_count() -> usize {
-    SAVE_FAILURES
+fn failure_count() -> usize {
+    RUN_FAILURES
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .len()
-}
-
-/// The per-experiment wall-clock budget, `VARDELAY_DEADLINE_MS=N` with
-/// N > 0. `None` when unset or unparseable: the budget is opt-in, because
-/// whether an experiment beats it depends on the machine.
-fn deadline_budget_from_env() -> Option<Duration> {
-    std::env::var("VARDELAY_DEADLINE_MS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
 }
 
 /// Runs one experiment. Under a deadline budget it runs isolated on the
@@ -924,7 +920,7 @@ fn run_experiment(name: &str, f: fn(), isolate: bool) {
     if !isolate {
         f();
     } else if let Some(Err(e)) = Runner::serial().try_run(1, |_| f()).pop() {
-        record_save_failure(format!("experiment {name}: {e}"));
+        record_failure(format!("experiment {name}: {e}"));
     }
 }
 
@@ -952,6 +948,10 @@ fn main() {
     }
     let arg = selection_arg.unwrap_or_else(|| "all".to_owned());
     let selection = parse_selection(&arg).unwrap_or_else(|unknown| usage_exit(&unknown));
+    // The per-experiment wall-clock budget is opt-in, because whether an
+    // experiment beats it depends on the machine.
+    let deadline_budget =
+        or_refuse("repro", env_positive("VARDELAY_DEADLINE_MS")).map(Duration::from_millis);
 
     // A previous run killed mid-write can only leave `.tmp` stage files
     // behind (renames are atomic); clear them before producing output.
@@ -960,7 +960,6 @@ fn main() {
         Ok(n) => println!("repro: swept {n} stale .tmp file(s) from an interrupted run"),
     }
 
-    let deadline_budget = deadline_budget_from_env();
     if let Some(b) = deadline_budget {
         println!(
             "repro: per-experiment deadline {} ms (VARDELAY_DEADLINE_MS)",
@@ -992,7 +991,7 @@ fn main() {
         }
         set_current_experiment(name);
         drain_csv_digests(); // discard any leftovers from a failed experiment
-        let failures_before = save_failure_count();
+        let failures_before = failure_count();
         let t0 = Instant::now();
         {
             let _span = obs::span(&format!("repro.{name}_us"));
@@ -1004,14 +1003,14 @@ fn main() {
         // own timer: an experiment over budget keeps its CSVs but is not
         // checkpointed, and the run exits 1.
         if let Some(budget) = deadline_budget.filter(|&budget| elapsed > budget) {
-            record_save_failure(format!(
+            record_failure(format!(
                 "experiment {name}: exceeded its {} ms deadline (ran {} ms)",
                 budget.as_millis(),
                 elapsed.as_millis()
             ));
         }
         let csvs = drain_csv_digests();
-        if save_failure_count() == failures_before {
+        if failure_count() == failures_before {
             let ck = Checkpoint {
                 experiment: name.to_owned(),
                 fingerprint: fp,
@@ -1040,14 +1039,11 @@ fn main() {
         &timings,
         resume_skips,
     );
-    let failures = SAVE_FAILURES
+    let failures = RUN_FAILURES
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     if !failures.is_empty() {
-        eprintln!(
-            "\nrepro: {} output file(s) could not be written:",
-            failures.len()
-        );
+        eprintln!("\nrepro: {} failure(s):", failures.len());
         for f in failures.iter() {
             eprintln!("  - {f}");
         }

@@ -22,9 +22,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use vardelay_analog::Fingerprint;
 use vardelay_obs::artifact;
 use vardelay_obs::json::Value;
+use vardelay_obs::Fingerprint;
 
 /// Version stamped into every checkpoint; bumping it invalidates all
 /// existing checkpoints (they simply stop matching).

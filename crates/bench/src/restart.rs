@@ -37,8 +37,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use vardelay_obs::journal;
 use vardelay_obs::json::Value;
+use vardelay_obs::{env_positive, journal};
 use vardelay_serve::{serve, Client, Envelope, Request, Response, ServeConfig, ServerHandle};
 use vardelay_siggen::SplitMix64;
 
@@ -71,16 +71,16 @@ impl Default for RestartConfig {
 impl RestartConfig {
     /// The default campaign with the request count taken from
     /// `VARDELAY_RESTART_REQUESTS` when set.
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A value that is not a positive integer is refused.
+    pub fn from_env() -> Result<Self, String> {
         let mut config = RestartConfig::default();
-        if let Some(n) = std::env::var("VARDELAY_RESTART_REQUESTS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
+        if let Some(n) = env_positive("VARDELAY_RESTART_REQUESTS")? {
             config.requests = n;
         }
-        config
+        Ok(config)
     }
 }
 

@@ -23,9 +23,8 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use vardelay_obs::journal;
 use vardelay_obs::json::Value;
-use vardelay_obs::Histogram;
+use vardelay_obs::{env_knob, journal, Histogram};
 use vardelay_runner::task_seed;
 use vardelay_serve::{Client, Envelope, ErrorKind, Request, Response, StatsReply};
 use vardelay_siggen::SplitMix64;
@@ -371,15 +370,20 @@ impl Default for MtLoadConfig {
 
 impl MtLoadConfig {
     /// The default campaign, with the hot-tenant injection taken from
-    /// `VARDELAY_BENCH_HOT_TENANT` (a tenant index; out-of-range or
-    /// non-numeric values are ignored).
-    pub fn from_env() -> Self {
+    /// `VARDELAY_BENCH_HOT_TENANT` (a tenant index, 0 included).
+    ///
+    /// # Errors
+    ///
+    /// A value that is not a tenant index below the tenant count is
+    /// refused.
+    pub fn from_env() -> Result<Self, String> {
         let mut config = MtLoadConfig::default();
-        config.hot_tenant = std::env::var("VARDELAY_BENCH_HOT_TENANT")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&t| t < config.tenants);
-        config
+        let tenants = config.tenants;
+        let expected = format!("a tenant index below {tenants}");
+        config.hot_tenant = env_knob("VARDELAY_BENCH_HOT_TENANT", &expected, |raw| {
+            raw.parse::<usize>().ok().filter(|&t| t < tenants)
+        })?;
+        Ok(config)
     }
 }
 

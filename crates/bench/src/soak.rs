@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use vardelay_faults::NetChaos;
-use vardelay_obs::journal;
 use vardelay_obs::json::Value;
+use vardelay_obs::{env_positive, journal};
 use vardelay_runner::task_seed;
 use vardelay_serve::{
     serve, ChannelState, Client, Envelope, ErrorKind, Request, Response, ServeConfig, StatsReply,
@@ -83,16 +83,16 @@ impl SoakConfig {
     /// ~0.2 s and heals in under 1 s, so the CI red leg — where every
     /// incident runs its full budget because nothing ever heals —
     /// shrinks the budget rather than waiting out 4 × 30 s.
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A value that is not a positive integer is refused.
+    pub fn from_env() -> Result<Self, String> {
         let mut config = SoakConfig::default();
-        if let Some(ms) = std::env::var("VARDELAY_SOAK_BUDGET_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-        {
+        if let Some(ms) = env_positive("VARDELAY_SOAK_BUDGET_MS")? {
             config.incident_budget = Duration::from_millis(ms);
         }
-        config
+        Ok(config)
     }
 }
 
@@ -131,7 +131,7 @@ pub struct SoakReport {
     pub quarantines: u64,
     /// Background table rebuilds the server counted.
     pub recalibrations: u64,
-    /// Partial-line connections the reaper cut.
+    /// Partial-line connections cut by the partial-line deadline.
     pub reaped: u64,
     /// Response writes cut by the IO deadline.
     pub io_timeouts: u64,

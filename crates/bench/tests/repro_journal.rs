@@ -64,12 +64,10 @@ fn seeded_all_record(wall_s: f64) -> Value {
 #[test]
 fn single_experiment_runs_append_and_never_clobber_the_all_record() {
     let scratch = Scratch::new("no_clobber");
-    // The journal already holds a full-run record (legacy pretty format,
-    // exactly what a pre-journal checkout carries).
+    // The journal already holds a full-run record.
     std::fs::write(
         scratch.journal_path(),
-        "{\n  \"experiments\": \"all\",\n  \"threads\": 1,\n  \"wall_s\": 6.5,\n  \
-         \"csv_points\": 1934\n}\n",
+        "{\"experiments\":\"all\",\"threads\":1,\"wall_s\":6.5,\"csv_points\":1934}\n",
     )
     .unwrap();
 
@@ -224,6 +222,10 @@ fn an_experiment_over_its_deadline_budget_fails_the_run() {
         "the diagnostic names the experiment: {stderr}"
     );
     assert!(
+        !stderr.contains("could not be written"),
+        "every CSV was written; the trailer must not say otherwise: {stderr}"
+    );
+    assert!(
         !checkpoint.exists(),
         "an over-budget run is not checkpointed"
     );
@@ -241,4 +243,40 @@ fn an_experiment_over_its_deadline_budget_fails_the_run() {
         String::from_utf8_lossy(&unset.stderr)
     );
     assert!(checkpoint.is_file(), "a clean run is checkpointed");
+}
+
+/// A malformed knob is refused at the entry point — exit 2, naming the
+/// knob — before the command binds a socket or runs an experiment,
+/// instead of being silently swapped for its default.
+#[test]
+fn malformed_knobs_are_refused_before_anything_runs() {
+    let scratch = Scratch::new("knobs");
+
+    // The address cannot bind, so a regression that accepts the knob
+    // fails at bind instead of serving until a wire shutdown.
+    let out = scratch.repro_env(
+        &["serve"],
+        &[
+            ("VARDELAY_SERVE_QUEUE", "abc"),
+            ("VARDELAY_SERVE_ADDR", "127.0.0.1:99999"),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "refused → exit 2: {stderr}");
+    assert!(
+        stderr.contains("VARDELAY_SERVE_QUEUE"),
+        "names the knob: {stderr}"
+    );
+
+    let out = scratch.repro_env(&["fig7"], &[("VARDELAY_DEADLINE_MS", "soon")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "refused → exit 2: {stderr}");
+    assert!(
+        stderr.contains("VARDELAY_DEADLINE_MS"),
+        "names the knob: {stderr}"
+    );
+    assert!(
+        !scratch.dir.join("target/repro").exists() && !scratch.journal_path().exists(),
+        "refused before any experiment ran"
+    );
 }

@@ -7,7 +7,8 @@
 //! (4-stage range ≈ 23.5 ps at a 6.4 GHz RZ clock; 2-stage ineffective
 //! beyond ~6 GHz) — and then left untouched.
 
-use vardelay_analog::{BufferCoreConfig, Fingerprint, VgaBufferConfig};
+use vardelay_analog::{BufferCoreConfig, VgaBufferConfig};
+use vardelay_obs::Fingerprint;
 use vardelay_units::{Frequency, Time, Voltage};
 use vardelay_waveform::RenderConfig;
 
@@ -229,6 +230,9 @@ mod tests {
         );
         // quiet() changes noise fields → must invalidate the memo key.
         assert_ne!(base.fingerprint(), base.quiet().fingerprint());
+        // The served model's key, pinned bit for bit: memo keys and
+        // snapshot fingerprints must not move with the hash's home.
+        assert_eq!(base.quiet().fingerprint(), 0xb849_72d6_bec9_2a95);
         let mut render_tweak = base.clone();
         render_tweak.render.padding = Time::from_ps(501.0);
         assert_ne!(base.fingerprint(), render_tweak.fingerprint());

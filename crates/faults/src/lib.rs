@@ -129,19 +129,14 @@ impl RequestChaos {
         RequestChaos { seed, one_in }
     }
 
-    /// Reads `VARDELAY_SERVE_CHAOS`. Accepted forms: `<one_in>` or
-    /// `<one_in>:<seed>` (seed defaults to 0). Unset, empty, or
-    /// unparsable values disable chaos entirely.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("VARDELAY_SERVE_CHAOS").ok()?;
-        let raw = raw.trim();
+    /// Parses a `VARDELAY_SERVE_CHAOS` value: `<one_in>` or
+    /// `<one_in>:<seed>` (seed defaults to 0); `None` when it does not
+    /// parse.
+    pub fn parse(raw: &str) -> Option<Self> {
         let (one_in, seed) = match raw.split_once(':') {
             Some((n, s)) => (n.trim().parse().ok()?, s.trim().parse().ok()?),
-            None => (raw.parse().ok()?, 0u64),
+            None => (raw.trim().parse().ok()?, 0u64),
         };
-        if one_in == 0 {
-            return None;
-        }
         Some(RequestChaos::new(seed, one_in))
     }
 
@@ -581,8 +576,8 @@ impl TransientFaults {
 /// (DESIGN.md §15).
 ///
 /// Each variant is a classic way a real network peer pins a naive
-/// line-oriented server; the serve layer's per-connection IO deadlines
-/// and partial-line reaper exist to survive all four.
+/// line-oriented server; the serve layer's per-connection IO and
+/// partial-line deadlines exist to survive all four.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFaultKind {
     /// Drips a request one byte at a time with long gaps and never sends

@@ -21,10 +21,6 @@
 //! records counted whole tables and carried `solve_*` fields). No gate
 //! reads them.
 //!
-//! [`load`] also accepts the legacy format (one pretty-printed object
-//! spanning the whole file) so a pre-journal `BENCH_repro.json` reads as
-//! a one-record journal.
-//!
 //! The gates: [`GATES`] is the one table of `repro compare` regression
 //! gates. Each row names its target, the record kind it reads, the
 //! command that writes that kind, how many records it needs and its
@@ -56,10 +52,10 @@ const LOCK_STALE_AGE: Duration = Duration::from_secs(30);
 /// The lock is a sibling `<journal>.lock` file created with
 /// `O_CREAT | O_EXCL` and holding the owner's pid; it is removed on
 /// [`Drop`]. Two concurrent `repro` processes therefore serialize their
-/// appends (and the legacy-migration / torn-tail-repair rewrites, which
-/// are *not* atomic on their own). A lock whose recorded pid is no
-/// longer alive — the holder crashed between create and remove — is
-/// broken automatically, so a killed campaign never wedges the journal.
+/// appends (and the torn-tail-repair rewrite, which is *not* atomic on
+/// its own). A lock whose recorded pid is no longer alive — the holder
+/// crashed between create and remove — is broken automatically, so a
+/// killed campaign never wedges the journal.
 #[derive(Debug)]
 pub struct JournalLock {
     lock_path: PathBuf,
@@ -151,16 +147,11 @@ fn lock_is_stale(lock_path: &Path) -> bool {
 /// Appends one record as a single JSONL line, creating the file if
 /// missing. The write is a single `write_all` of `line + "\n"` through
 /// `O_APPEND`, so concurrent appenders interleave whole lines; on top of
-/// that the whole operation holds the [`JournalLock`], because the two
-/// in-place repairs below are read-modify-write:
-///
-/// * a legacy pre-journal file (one pretty-printed object spanning the
-///   whole file) is migrated to a one-line JSONL record, so appending to
-///   it never produces an unparseable hybrid;
-/// * a **torn final line** — a crash mid-append leaves a prefix with no
-///   trailing newline — is truncated away (counted in the
-///   `journal.torn_lines` counter) so the new record starts on its own
-///   line instead of concatenating onto the wreckage.
+/// that the whole operation holds the [`JournalLock`], because the
+/// in-place repair is read-modify-write: a **torn final line** — a crash
+/// mid-append leaves a prefix with no trailing newline — is truncated
+/// away (counted in the `journal.torn_lines` counter) so the new record
+/// starts on its own line instead of concatenating onto the wreckage.
 ///
 /// # Errors
 ///
@@ -168,7 +159,6 @@ fn lock_is_stale(lock_path: &Path) -> bool {
 /// benchmark run must not die on a read-only checkout).
 pub fn append(path: &Path, record: &Value) -> io::Result<()> {
     let _lock = JournalLock::acquire(path)?;
-    migrate_legacy(path)?;
     repair_torn_tail(path)?;
     let mut line = record.render();
     line.push('\n');
@@ -196,41 +186,15 @@ fn repair_torn_tail(path: &Path) -> io::Result<()> {
     std::fs::write(path, &content[..keep])
 }
 
-/// Rewrites a legacy whole-file JSON object as one compact JSONL line.
-/// JSONL files (first line parses on its own), missing files and
-/// unparseable files are left untouched.
-fn migrate_legacy(path: &Path) -> io::Result<()> {
-    let content = match std::fs::read_to_string(path) {
-        Ok(c) => c,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    if content.trim().is_empty() {
-        return Ok(());
-    }
-    let first_line_is_record = content
-        .lines()
-        .next()
-        .is_some_and(|l| Value::parse(l).is_ok());
-    if first_line_is_record {
-        return Ok(());
-    }
-    if let Ok(legacy) = Value::parse(&content) {
-        std::fs::write(path, legacy.render() + "\n")?;
-    }
-    Ok(())
-}
-
 /// A journal that could not be read or parsed.
 #[derive(Debug)]
 pub enum JournalError {
     /// The file could not be read (missing file is **not** an error —
     /// [`load`] returns an empty journal).
     Io(io::Error),
-    /// A line (1-based; 0 for whole-file legacy parse) failed to parse.
+    /// A line failed to parse.
     Parse {
-        /// 1-based line number, 0 when the whole file failed as one
-        /// document.
+        /// 1-based line number.
         line: usize,
         /// The parser's diagnosis.
         error: crate::json::ParseError,
@@ -257,8 +221,7 @@ impl From<io::Error> for JournalError {
 }
 
 /// Loads every record in the journal, oldest first. A missing file is an
-/// empty journal. A file that parses as one JSON document (the legacy
-/// pre-journal format, or a one-line journal) yields one record.
+/// empty journal.
 ///
 /// **Torn-tail recovery:** a crash mid-append leaves a final line that
 /// is a prefix of a record with no trailing newline. Such a line — the
@@ -279,14 +242,6 @@ pub fn load(path: &Path) -> Result<Vec<Value>, JournalError> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e.into()),
     };
-    if content.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    // Legacy tolerance: the whole file as one document (also covers a
-    // one-line journal — identical result either way).
-    if let Ok(single) = Value::parse(&content) {
-        return Ok(vec![single]);
-    }
     let torn_tail_possible = !content.ends_with('\n');
     let lines: Vec<(usize, &str)> = content
         .lines()
@@ -829,40 +784,6 @@ mod tests {
         assert!(load(Path::new("/nonexistent/vardelay.jsonl"))
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn legacy_single_object_loads_as_one_record() {
-        let path = temp_path("legacy");
-        std::fs::write(
-            &path,
-            "{\n  \"experiments\": \"fig9\",\n  \"threads\": 1,\n  \"wall_s\": 0.011\n}\n",
-        )
-        .unwrap();
-        let records = load(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].get("wall_s").unwrap().as_f64(), Some(0.011));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn appending_to_a_legacy_file_migrates_it() {
-        let path = temp_path("migrate");
-        std::fs::write(
-            &path,
-            "{\n  \"experiments\": \"all\",\n  \"threads\": 1,\n  \"wall_s\": 6.5\n}\n",
-        )
-        .unwrap();
-        append(&path, &record("fig9", 1, 0.01)).unwrap();
-        let records = load(&path).unwrap();
-        assert_eq!(records.len(), 2, "legacy record + appended record");
-        assert_eq!(records[0].get("experiments").unwrap().as_str(), Some("all"));
-        assert_eq!(records[0].get("wall_s").unwrap().as_f64(), Some(6.5));
-        assert_eq!(
-            records[1].get("experiments").unwrap().as_str(),
-            Some("fig9")
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

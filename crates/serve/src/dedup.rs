@@ -59,7 +59,6 @@ impl DedupTable {
         let cached = tenants.get(tenant)?.responses.get(req_id).cloned();
         if cached.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            vardelay_obs::counter("serve.dedup_hits").add(1);
         }
         cached
     }

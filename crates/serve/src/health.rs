@@ -98,7 +98,9 @@ struct ChannelHealth {
     unhealthy_since: Instant,
 }
 
-/// Shared health ledger: per-channel states plus the loop's counters.
+/// Shared health ledger: per-channel states plus the server's
+/// recalibration and quarantine counts (sentinel runs are counted in
+/// the `health.sentinel_runs` metric).
 ///
 /// One instance serves every shard; keys are `(tenant, channel)` so a
 /// tenant's channel 3 and another tenant's channel 3 heal independently.
@@ -107,7 +109,6 @@ pub struct HealthTable {
     channels: Mutex<HashMap<(String, usize), ChannelHealth>>,
     /// Consecutive healthy rounds required to leave `Recovering`.
     recovery_rounds: u32,
-    sentinel_runs: AtomicU64,
     recalibrations: AtomicU64,
     quarantines: AtomicU64,
 }
@@ -119,7 +120,6 @@ impl HealthTable {
         HealthTable {
             channels: Mutex::new(HashMap::new()),
             recovery_rounds: recovery_rounds.max(1),
-            sentinel_runs: AtomicU64::new(0),
             recalibrations: AtomicU64::new(0),
             quarantines: AtomicU64::new(0),
         }
@@ -153,7 +153,6 @@ impl HealthTable {
     /// entries, and records `health.mttr_us` whenever a channel makes
     /// it back to `Healthy`.
     pub fn observe(&self, tenant: &str, channel: usize, verdict: SentinelVerdict) -> HealthAction {
-        self.sentinel_runs.fetch_add(1, Ordering::Relaxed);
         vardelay_obs::counter("health.sentinel_runs").add(1);
         let now = Instant::now();
         let mut channels = self.channels.lock().unwrap_or_else(|e| e.into_inner());
@@ -215,7 +214,6 @@ impl HealthTable {
         );
         if next == ChannelState::Quarantined && !was_rejecting {
             self.quarantines.fetch_add(1, Ordering::Relaxed);
-            vardelay_obs::counter("health.quarantines").add(1);
         }
         if next == ChannelState::Healthy && was != ChannelState::Healthy {
             let mttr = now.saturating_duration_since(entry.unhealthy_since);
@@ -251,7 +249,6 @@ impl HealthTable {
     /// Marks one background recalibration complete.
     pub fn note_recalibration(&self) {
         self.recalibrations.fetch_add(1, Ordering::Relaxed);
-        vardelay_obs::counter("health.recalibrations").add(1);
     }
 
     /// Channels currently refusing `set_delay` (quarantined or still
@@ -276,11 +273,6 @@ impl HealthTable {
             .values()
             .filter(|h| h.state != ChannelState::Healthy)
             .count() as u64
-    }
-
-    /// Sentinel rounds fed in since start.
-    pub fn sentinel_runs(&self) -> u64 {
-        self.sentinel_runs.load(Ordering::Relaxed)
     }
 
     /// Background recalibrations completed since start.

@@ -19,7 +19,7 @@
 //!
 //! Since PR 7 the service is *sharded* (DESIGN.md §14): requests are
 //! routed by consistent hashing over `(tenant, channel)` to independent
-//! [`shard`]s, each owning a worker pool and a deficit-round-robin
+//! [`shard`]s, each owning a worker pool and a per-tenant round-robin
 //! [`queue::FairQueue`]; per-tenant token buckets shed a hot tenant at
 //! admission, and per-tenant calibration banks are instantiated lazily
 //! with LRU eviction of cold tenants.
@@ -37,8 +37,10 @@
 //! keep answering from the old table until the atomic swap), and
 //! quarantines grossly-drifted channels behind a structured
 //! `unavailable` response until they re-earn admission. Per-connection
-//! IO deadlines and a partial-line reaper keep misbehaving sockets
-//! (slow-loris drips, stalled readers) from ever pinning a worker.
+//! IO deadlines — a write deadline on every reply and a partial-line
+//! deadline each connection's reader enforces — keep misbehaving
+//! sockets (slow-loris drips, stalled readers) from ever pinning a
+//! worker.
 //!
 //! Since PR 9 the service is *durable* (DESIGN.md §16): with
 //! `VARDELAY_SERVE_STATE_DIR` set, installed calibration tables and
@@ -87,7 +89,7 @@ pub use protocol::{
     SelftestReply, StatsReply, MAX_BACKEND_BYTES, MAX_LINE_BYTES, MAX_REQ_ID_BYTES,
     MAX_TENANT_BYTES, MAX_WIRE_INDEX,
 };
-pub use queue::{BoundedQueue, FairQueue};
+pub use queue::FairQueue;
 pub use server::{serve, DrainReport, ServeConfig, ServerHandle, SERVE_SEED};
 pub use shard::{BankHooks, BankId, BankRegistry, HashRing, QuotaTable, TenantBank};
 pub use wal::{Wal, WalRecord};

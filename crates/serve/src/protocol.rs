@@ -272,7 +272,7 @@ pub struct StatsReply {
     pub unavailable: u64,
     /// Connections cut by a read/write deadline expiring.
     pub io_timeouts: u64,
-    /// Connections cut by the partial-line reaper.
+    /// Connections cut by the partial-line deadline.
     pub reaped: u64,
     /// Channels currently quarantined or still in recovery probation.
     pub quarantined: u64,

@@ -1,142 +1,27 @@
-//! Bounded MPSC-ish queues with coalescing support.
+//! The server's one queue: a bounded per-tenant fair queue.
 //!
 //! `std::sync::mpsc` has no bounded non-blocking push and no way to
-//! pull *matching* entries out of the middle, so the server uses these
-//! small `Mutex` + `Condvar` queues instead:
+//! pull *matching* entries out of the middle, so the server uses this
+//! small `Mutex` + `Condvar` queue instead:
 //!
-//! * [`try_push`](BoundedQueue::try_push) never blocks — a full queue
-//!   hands the item back so the caller can answer `overloaded`
-//!   (backpressure is a *response*, not a stalled connection);
-//! * [`drain_matching`](BoundedQueue::drain_matching) lets a worker
+//! * [`try_push`](FairQueue::try_push) never blocks — a full lane hands
+//!   the item back so the caller can answer `overloaded` (backpressure
+//!   is a *response*, not a stalled connection);
+//! * [`drain_matching`](FairQueue::drain_matching) lets a worker
 //!   coalesce same-channel `set_delay` requests into one solve;
-//! * [`close`](BoundedQueue::close) + `pop → None` gives the graceful
+//! * [`close`](FairQueue::close) + `pop → None` gives the graceful
 //!   drain: workers finish everything queued, then exit.
 //!
-//! [`FairQueue`] keeps the same surface but segregates items into
-//! per-key *lanes* (one per tenant) drained deficit-round-robin, so one
-//! hot tenant fills only its own slice of the shared capacity budget
-//! and cannot starve the others (DESIGN.md §14).
+//! Items are segregated into per-key *lanes* (one per tenant) drained
+//! round robin, so one hot tenant fills only its own slice of the shared
+//! capacity budget and cannot starve the others (DESIGN.md §14).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
-/// The queue. All methods are `&self`; share it behind an `Arc`.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    ready: Condvar,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(Inner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The capacity the queue was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .items
-            .len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Non-blocking push. Returns the item back when the queue is full
-    /// or closed, so the producer can answer `overloaded` (or drop).
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.closed || inner.items.len() >= self.capacity {
-            return Err(item);
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop. Returns `None` only once the queue is closed *and*
-    /// empty — everything accepted before the close is still served.
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Removes and returns every queued item matching `pred`, preserving
-    /// arrival order. Used to coalesce a batch; non-matching items keep
-    /// their positions.
-    pub fn drain_matching(&self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut kept = VecDeque::with_capacity(inner.items.len());
-        let mut taken = Vec::new();
-        for item in inner.items.drain(..) {
-            if pred(&item) {
-                taken.push(item);
-            } else {
-                kept.push_back(item);
-            }
-        }
-        inner.items = kept;
-        taken
-    }
-
-    /// Closes the queue: further pushes fail, pops drain the remainder
-    /// then return `None`. Idempotent.
-    pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.closed = true;
-        drop(inner);
-        self.ready.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FairQueue: per-key lanes drained deficit-round-robin
-// ---------------------------------------------------------------------------
-
-/// DRR quantum: credit added to a lane each time the rotation reaches
-/// it. Every job costs one credit, so with unit costs the schedule
-/// degenerates to exact per-tenant round robin — the deficit machinery
-/// stays in place so a future weighted cost model drops in unchanged.
-const DRR_QUANTUM: u64 = 1;
-
-/// Cost charged per job popped from a lane.
-const DRR_COST: u64 = 1;
-
 /// A bounded fair queue: items are segregated into per-key lanes (the
-/// server keys lanes by tenant hash) and drained deficit-round-robin.
+/// server keys lanes by tenant hash) and drained round robin, one item
+/// per lane per turn.
 ///
 /// Capacity is **per lane** — that is each tenant's whole slice, so a
 /// hot tenant draws `overloaded` from its own full lane while everyone
@@ -149,14 +34,8 @@ pub struct FairQueue<T> {
 }
 
 #[derive(Debug)]
-struct Lane<T> {
-    items: VecDeque<T>,
-    deficit: u64,
-}
-
-#[derive(Debug)]
 struct FairInner<T> {
-    lanes: HashMap<u64, Lane<T>>,
+    lanes: HashMap<u64, VecDeque<T>>,
     /// Rotation order over non-empty lanes. Invariant: `active` holds
     /// exactly the keys of `lanes`, each once, and every lane in
     /// `lanes` is non-empty.
@@ -204,15 +83,12 @@ impl<T> FairQueue<T> {
         if inner.closed {
             return Err(item);
         }
-        let lane = inner.lanes.entry(key).or_insert_with(|| Lane {
-            items: VecDeque::new(),
-            deficit: 0,
-        });
-        if lane.items.len() >= self.lane_capacity {
+        let lane = inner.lanes.entry(key).or_default();
+        if lane.len() >= self.lane_capacity {
             return Err(item);
         }
-        let was_empty = lane.items.is_empty();
-        lane.items.push_back(item);
+        let was_empty = lane.is_empty();
+        lane.push_back(item);
         inner.total += 1;
         if was_empty {
             inner.active.push_back(key);
@@ -222,28 +98,18 @@ impl<T> FairQueue<T> {
         Ok(())
     }
 
-    /// Blocking DRR pop. Returns `None` only once the queue is closed
-    /// *and* every lane is empty. Each visit to the head lane adds
-    /// [`DRR_QUANTUM`] credit; a lane that can afford [`DRR_COST`]
-    /// serves one item, otherwise it rotates to the back still holding
-    /// its credit.
+    /// Blocking round-robin pop: one item from the head lane, which then
+    /// rotates to the back (or leaves the rotation once empty). Returns
+    /// `None` only once the queue is closed *and* every lane is empty.
     pub fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            while let Some(&key) = inner.active.front() {
+            if let Some(&key) = inner.active.front() {
                 let lane = inner.lanes.get_mut(&key).expect("active lane exists");
-                lane.deficit += DRR_QUANTUM;
-                if lane.deficit < DRR_COST {
-                    inner.active.rotate_left(1);
-                    continue;
-                }
-                lane.deficit -= DRR_COST;
-                let item = lane.items.pop_front().expect("active lane is non-empty");
-                let lane_empty = lane.items.is_empty();
+                let item = lane.pop_front().expect("active lane is non-empty");
+                let lane_empty = lane.is_empty();
                 inner.total -= 1;
                 if lane_empty {
-                    // Empty lanes forfeit their credit and leave the
-                    // rotation; a fresh burst starts from zero.
                     inner.lanes.remove(&key);
                     inner.active.pop_front();
                 } else {
@@ -267,17 +133,17 @@ impl<T> FairQueue<T> {
         let Some(lane) = inner.lanes.get_mut(&key) else {
             return Vec::new();
         };
-        let mut kept = VecDeque::with_capacity(lane.items.len());
+        let mut kept = VecDeque::with_capacity(lane.len());
         let mut taken = Vec::new();
-        for item in lane.items.drain(..) {
+        for item in lane.drain(..) {
             if pred(&item) {
                 taken.push(item);
             } else {
                 kept.push_back(item);
             }
         }
-        lane.items = kept;
-        let lane_empty = lane.items.is_empty();
+        *lane = kept;
+        let lane_empty = lane.is_empty();
         inner.total -= taken.len();
         if lane_empty {
             inner.lanes.remove(&key);
@@ -302,48 +168,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn full_queue_hands_the_item_back() {
-        let q = BoundedQueue::new(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert_eq!(q.try_push(3), Err(3));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn drain_matching_preserves_order_of_both_halves() {
-        let q = BoundedQueue::new(8);
-        for i in 0..6 {
-            q.try_push(i).unwrap();
-        }
-        let evens = q.drain_matching(|&i| i % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4]);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(5));
-    }
-
-    #[test]
-    fn close_drains_the_remainder_then_ends() {
-        let q = Arc::new(BoundedQueue::new(4));
-        q.try_push(10).unwrap();
-        q.close();
-        assert_eq!(q.try_push(11), Err(11));
-        assert_eq!(q.pop(), Some(10));
-        assert_eq!(q.pop(), None);
-
-        // A popper blocked on an empty queue wakes on close.
-        let q2 = Arc::new(BoundedQueue::<u32>::new(4));
-        let waiter = {
-            let q2 = Arc::clone(&q2);
-            std::thread::spawn(move || q2.pop())
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q2.close();
-        assert_eq!(waiter.join().unwrap(), None);
-    }
-
-    #[test]
     fn fair_queue_interleaves_a_hot_lane_with_a_quiet_one() {
         let q = FairQueue::new(16);
         // Tenant 1 bursts eight jobs before tenant 2 queues two.
@@ -353,8 +177,8 @@ mod tests {
         for i in 0..2 {
             q.try_push(2, (2, i)).unwrap();
         }
-        // DRR alternates lanes; the quiet tenant's two jobs come out in
-        // positions 2 and 4, not 9 and 10 as FIFO would place them.
+        // Round robin alternates lanes; the quiet tenant's two jobs come
+        // out in positions 2 and 4, not 9 and 10 as FIFO would place them.
         let order: Vec<_> = (0..10).map(|_| q.pop().unwrap()).collect();
         assert_eq!(order[1], (2, 0));
         assert_eq!(order[3], (2, 1));
@@ -385,6 +209,19 @@ mod tests {
         assert_eq!(q.len(), 2);
         let rest: Vec<_> = (0..2).map(|_| q.pop().unwrap()).collect();
         assert!(rest.contains(&11) && rest.contains(&12));
+    }
+
+    #[test]
+    fn drain_matching_preserves_order_of_both_halves() {
+        // Several matches in one lane: both halves keep arrival order,
+        // which batching's last-write-wins depends on.
+        let q = FairQueue::new(8);
+        for i in 0..6 {
+            q.try_push(3, i).unwrap();
+        }
+        assert_eq!(q.drain_matching(3, |&i| i % 2 == 0), vec![0, 2, 4]);
+        let kept: Vec<_> = (0..3).map(|_| q.pop().unwrap()).collect();
+        assert_eq!(kept, vec![1, 3, 5]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!    `try_push`es a job into the shard's [`FairQueue`] — a full tenant
 //!    lane answers `overloaded` with a retry hint instead of blocking
 //!    the socket or crowding out other tenants;
-//! 3. a shard worker pops the job (lanes drain deficit-round-robin). A
+//! 3. a shard worker pops the job (lanes drain round robin). A
 //!    `set_delay` lead waits one batch window, drains every queued
 //!    same-tenant same-channel `set_delay` from its own lane, and
 //!    answers the whole batch from one solve on the tenant's
@@ -32,15 +32,16 @@
 //! so lazy calibration and re-admission after eviction answer from the
 //! measurement memo instead of re-sweeping.
 //!
-//! Two background loops keep the server honest over months, not
-//! milliseconds (DESIGN.md §15): a per-shard **health supervisor**
-//! (period `VARDELAY_SERVE_HEALTH_MS`) runs drift sentinels over the
-//! resident banks, rebuilds stale tables on a private copy and swaps
-//! them in atomically, and quarantines grossly-drifted channels; and a
-//! **partial-line reaper** (deadline `VARDELAY_SERVE_IO_TIMEOUT_MS`)
-//! cuts connections whose half-sent request has been pending past the
-//! IO deadline — the slow-loris case an idle check cannot see, because
-//! a byte-dripping client never looks idle.
+//! A per-shard **health supervisor** (period `VARDELAY_SERVE_HEALTH_MS`)
+//! keeps the server honest over months, not milliseconds (DESIGN.md
+//! §15): it runs drift sentinels over the resident banks, rebuilds stale
+//! tables on a private copy and swaps them in atomically, and
+//! quarantines grossly-drifted channels. Each connection's reader
+//! enforces a **partial-line deadline** (twice
+//! `VARDELAY_SERVE_IO_TIMEOUT_MS`): it cuts the connection once a
+//! half-sent request line has been pending that long — the slow-loris
+//! case an idle check cannot see, because a byte-dripping client never
+//! looks idle.
 //!
 //! With `VARDELAY_SERVE_STATE_DIR` set the server is also *durable*
 //! (DESIGN.md §16): calibration tables and health states persist to a
@@ -51,7 +52,6 @@
 //! into every response. `req_id`-tagged requests deduplicate through a
 //! [`DedupTable`] window that survives the restart via the WAL.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,6 +69,7 @@ use vardelay_core::{
     SentinelConfig,
 };
 use vardelay_faults::RequestChaos;
+use vardelay_obs::{env_knob, env_positive};
 use vardelay_runner::{
     panic_message, task_seed, worker_threads_from_env, Deadline, DeadlineBail, Runner,
 };
@@ -143,8 +144,8 @@ pub struct ServeConfig {
     /// existing tests see no background probing).
     pub health_period: Option<Duration>,
     /// Per-connection IO deadline (`VARDELAY_SERVE_IO_TIMEOUT_MS`):
-    /// bounds response writes and how long a partial request line may
-    /// sit before the reaper cuts the connection.
+    /// bounds response writes, and twice it bounds how long a partial
+    /// request line may sit before its reader cuts the connection.
     pub io_timeout: Duration,
     /// Whether the supervisor rebuilds stale tables
     /// (`VARDELAY_SERVE_RECAL`; disable to sabotage self-healing — the
@@ -166,83 +167,56 @@ pub struct ServeConfig {
     pub backend: BackendKind,
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-fn env_f64(key: &str) -> Option<f64> {
-    std::env::var(key)
-        .ok()
-        .and_then(|raw| raw.trim().parse::<f64>().ok())
-        .filter(|&v| v.is_finite() && v > 0.0)
-}
-
 impl ServeConfig {
     /// The standalone configuration: every knob from the environment,
     /// defaults matching the README table.
-    pub fn from_env() -> ServeConfig {
-        let addr = std::env::var("VARDELAY_SERVE_ADDR")
-            .ok()
-            .filter(|a| !a.trim().is_empty())
-            .unwrap_or_else(|| "127.0.0.1:4848".to_owned());
-        let batch_us = std::env::var("VARDELAY_SERVE_BATCH_US")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .unwrap_or(100);
-        ServeConfig {
-            addr,
-            queue_depth: env_usize("VARDELAY_SERVE_QUEUE", 64),
-            batch_window: Duration::from_micros(batch_us),
+    ///
+    /// # Errors
+    ///
+    /// A knob whose value does not parse or lies outside its documented
+    /// range is refused, naming the knob and the value.
+    pub fn from_env() -> Result<ServeConfig, String> {
+        fn rate(raw: &str) -> Option<f64> {
+            raw.parse().ok().filter(|&r: &f64| r.is_finite() && r > 0.0)
+        }
+        let whole = |raw: &str| raw.parse::<u64>().ok();
+        let health_ms = env_knob("VARDELAY_SERVE_HEALTH_MS", "a whole number", whole)?;
+        let health_ms = health_ms.unwrap_or(1000);
+        Ok(ServeConfig {
+            addr: env_knob("VARDELAY_SERVE_ADDR", "host:port", |raw| raw.parse().ok())?
+                .unwrap_or_else(|| "127.0.0.1:4848".to_owned()),
+            queue_depth: env_positive("VARDELAY_SERVE_QUEUE")?.unwrap_or(64),
+            batch_window: Duration::from_micros(
+                env_knob("VARDELAY_SERVE_BATCH_US", "a whole number", whole)?.unwrap_or(100),
+            ),
             workers: worker_threads_from_env(),
-            shards: env_usize("VARDELAY_SERVE_SHARDS", 4),
+            shards: env_positive("VARDELAY_SERVE_SHARDS")?.unwrap_or(4),
             channels: 8,
-            max_banks: env_usize("VARDELAY_SERVE_MAX_BANKS", 8),
-            quota_rps: env_f64("VARDELAY_SERVE_QUOTA_RPS"),
-            quota_burst: env_f64("VARDELAY_SERVE_QUOTA_BURST"),
+            max_banks: env_positive("VARDELAY_SERVE_MAX_BANKS")?.unwrap_or(8),
+            quota_rps: env_knob("VARDELAY_SERVE_QUOTA_RPS", "a positive number", rate)?,
+            quota_burst: env_knob("VARDELAY_SERVE_QUOTA_BURST", "a positive number", rate)?,
             default_deadline: Duration::from_secs(2),
-            chaos: RequestChaos::from_env(),
-            health_period: {
-                let ms = std::env::var("VARDELAY_SERVE_HEALTH_MS")
-                    .ok()
-                    .and_then(|raw| raw.trim().parse::<u64>().ok())
-                    .unwrap_or(1000);
-                (ms > 0).then(|| Duration::from_millis(ms))
-            },
+            chaos: env_knob(
+                "VARDELAY_SERVE_CHAOS",
+                "one_in[:seed], whole numbers",
+                RequestChaos::parse,
+            )?,
+            health_period: (health_ms > 0).then(|| Duration::from_millis(health_ms)),
             io_timeout: Duration::from_millis(
-                env_usize("VARDELAY_SERVE_IO_TIMEOUT_MS", 10_000) as u64
+                env_positive("VARDELAY_SERVE_IO_TIMEOUT_MS")?.unwrap_or(10_000),
             ),
             recalibrate: vardelay_obs::env_flag("VARDELAY_SERVE_RECAL").unwrap_or(true),
-            state_dir: std::env::var("VARDELAY_SERVE_STATE_DIR")
-                .ok()
-                .map(|raw| raw.trim().to_owned())
-                .filter(|raw| !raw.is_empty())
-                .map(PathBuf::from),
-            wal_compact: std::env::var("VARDELAY_SERVE_WAL_COMPACT")
-                .ok()
-                .and_then(|raw| raw.trim().parse::<u64>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(512),
-            backend: {
-                // An unknown name falls back to the circuit reference
-                // loudly: silently serving the wrong hardware family
-                // would be worse than a startup warning.
-                if let Ok(raw) = std::env::var("VARDELAY_SERVE_BACKEND") {
-                    let raw = raw.trim();
-                    if !raw.is_empty() && BackendKind::from_name(raw).is_none() {
-                        eprintln!(
-                            "VARDELAY_SERVE_BACKEND={raw:?} is not a known backend \
-                             (valid: {}); using circuit",
-                            BackendKind::valid_names()
-                        );
-                    }
-                }
-                BackendKind::from_env()
-            },
-        }
+            state_dir: env_knob("VARDELAY_SERVE_STATE_DIR", "a directory", |raw| {
+                raw.parse().ok()
+            })?,
+            wal_compact: env_positive("VARDELAY_SERVE_WAL_COMPACT")?.unwrap_or(512),
+            backend: env_knob(
+                "VARDELAY_SERVE_BACKEND",
+                &format!("one of {}", BackendKind::valid_names()),
+                BackendKind::from_name,
+            )?
+            .unwrap_or(BackendKind::Circuit),
+        })
     }
 
     /// An ephemeral-port configuration for in-process use (tests, the
@@ -272,8 +246,8 @@ impl ServeConfig {
     }
 }
 
-/// Response counters, mirrored into the `stats` reply and the final
-/// [`DrainReport`].
+/// The server's event counts, rendered into the `stats` reply and the
+/// final [`DrainReport`].
 #[derive(Debug, Default)]
 struct Stats {
     requests: AtomicU64,
@@ -288,6 +262,16 @@ struct Stats {
     unavailable: AtomicU64,
     io_timeouts: AtomicU64,
     reaped: AtomicU64,
+    /// Banks whose build restored ≥ 1 channel table from a snapshot.
+    banks_restored: AtomicU64,
+    /// Banks with persisted state that nonetheless recalibrated ≥ 1
+    /// channel (corrupt snapshot, fingerprint mismatch, or a
+    /// sentinel-rejected table).
+    banks_recalibrated: AtomicU64,
+    /// WAL records applied during recovery.
+    wal_records_replayed: AtomicU64,
+    /// Wall time of the recovery pass, microseconds.
+    restore_us: AtomicU64,
 }
 
 impl Stats {
@@ -303,63 +287,6 @@ impl Stats {
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn snapshot(
-        &self,
-        queue_depth: u64,
-        workers: u64,
-        shards: u64,
-        banks: u64,
-        health: &HealthTable,
-        epoch: u64,
-        recovery: &RecoveryLedger,
-        dedup_hits: u64,
-    ) -> StatsReply {
-        StatsReply {
-            requests: self.requests.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            parse_errors: self.parse_errors.load(Ordering::Relaxed),
-            bad_requests: self.bad_requests.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            internal_errors: self.internal_errors.load(Ordering::Relaxed),
-            batched: self.batched.load(Ordering::Relaxed),
-            quota_rejections: self.quota_rejections.load(Ordering::Relaxed),
-            unavailable: self.unavailable.load(Ordering::Relaxed),
-            io_timeouts: self.io_timeouts.load(Ordering::Relaxed),
-            reaped: self.reaped.load(Ordering::Relaxed),
-            quarantined: health.quarantined_now(),
-            unhealthy: health.unhealthy_now(),
-            recalibrations: health.recalibrations(),
-            quarantines: health.quarantines(),
-            server_epoch: epoch,
-            banks_restored: recovery.banks_restored.load(Ordering::Relaxed),
-            banks_recalibrated: recovery.banks_recalibrated.load(Ordering::Relaxed),
-            wal_records_replayed: recovery.wal_records_replayed.load(Ordering::Relaxed),
-            restore_us: recovery.restore_us.load(Ordering::Relaxed),
-            dedup_hits,
-            queue_depth,
-            workers,
-            shards,
-            banks,
-        }
-    }
-}
-
-/// What the last warm restart accomplished, mirrored into `stats`.
-#[derive(Debug, Default)]
-struct RecoveryLedger {
-    /// Banks whose build restored ≥ 1 channel table from a snapshot.
-    banks_restored: AtomicU64,
-    /// Banks with persisted state that nonetheless recalibrated ≥ 1
-    /// channel (corrupt snapshot, fingerprint mismatch, or a
-    /// sentinel-rejected table).
-    banks_recalibrated: AtomicU64,
-    /// WAL records applied during recovery.
-    wal_records_replayed: AtomicU64,
-    /// Wall time of the recovery pass, microseconds.
-    restore_us: AtomicU64,
 }
 
 /// The durable half of a state-dir-configured server.
@@ -377,7 +304,7 @@ struct Durability {
 struct DurabilityHooks {
     store: Arc<SnapshotStore>,
     health: Arc<HealthTable>,
-    recovery: Arc<RecoveryLedger>,
+    stats: Arc<Stats>,
     /// The server's default backend. Only its banks persist: the
     /// snapshot fingerprint describes exactly one hardware family, so a
     /// wire-selected non-default bank is ephemeral — rebuilt from the
@@ -414,13 +341,13 @@ impl BankHooks for DurabilityHooks {
         }
         let persisted = self.store.channels_of(id.tenant());
         if restored.iter().any(|&r| r) {
-            self.recovery.banks_restored.fetch_add(1, Ordering::Relaxed);
+            self.stats.banks_restored.fetch_add(1, Ordering::Relaxed);
         }
         if persisted
             .iter()
             .any(|&ch| restored.get(ch).is_some_and(|&r| !r))
         {
-            self.recovery
+            self.stats
                 .banks_recalibrated
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -605,14 +532,6 @@ struct ShardState {
     queue: FairQueue<Job>,
 }
 
-/// What the reaper knows about one live connection: a handle it can cut
-/// and the wall-clock moment (milliseconds since server start, 0 =
-/// none) at which the connection's current partial line began.
-struct ConnEntry {
-    stream: TcpStream,
-    pending_since_ms: Arc<AtomicU64>,
-}
-
 struct Shared {
     shards: Vec<ShardState>,
     ring: HashRing,
@@ -623,7 +542,7 @@ struct Shared {
     channels: usize,
     /// The default delay backend (requests without a `backend` field).
     backend: BackendKind,
-    stats: Stats,
+    stats: Arc<Stats>,
     shutdown: AtomicBool,
     next_index: AtomicU64,
     next_conn: AtomicU64,
@@ -639,10 +558,6 @@ struct Shared {
     health_period: Option<Duration>,
     io_timeout: Duration,
     recalibrate: bool,
-    /// Reaper's view of live connections, keyed by connection id.
-    conns: Mutex<HashMap<u64, ConnEntry>>,
-    /// Server start, the epoch for `pending_since_ms`.
-    started: Instant,
     /// Snapshot store + WAL, present only with a state directory.
     durability: Option<Durability>,
     /// The `req_id` idempotency window (active with or without a state
@@ -651,8 +566,6 @@ struct Shared {
     /// Monotonic restart counter stamped into every response (1 when no
     /// state dir is configured).
     epoch: u64,
-    /// What the warm restart restored, for `stats`.
-    recovery: Arc<RecoveryLedger>,
 }
 
 impl Shared {
@@ -661,21 +574,36 @@ impl Shared {
     }
 
     fn stats_reply(&self) -> StatsReply {
-        self.stats.snapshot(
-            self.queue_depth(),
-            self.workers.load(Ordering::Relaxed),
-            self.shards.len() as u64,
-            self.registry.resident() as u64,
-            &self.health,
-            self.epoch,
-            &self.recovery,
-            self.dedup.hits(),
-        )
-    }
-
-    /// Milliseconds since the server started (the reaper clock).
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+        let stats = &self.stats;
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        StatsReply {
+            requests: read(&stats.requests),
+            ok: read(&stats.ok),
+            parse_errors: read(&stats.parse_errors),
+            bad_requests: read(&stats.bad_requests),
+            overloaded: read(&stats.overloaded),
+            deadline_exceeded: read(&stats.deadline_exceeded),
+            internal_errors: read(&stats.internal_errors),
+            batched: read(&stats.batched),
+            quota_rejections: read(&stats.quota_rejections),
+            unavailable: read(&stats.unavailable),
+            io_timeouts: read(&stats.io_timeouts),
+            reaped: read(&stats.reaped),
+            quarantined: self.health.quarantined_now(),
+            unhealthy: self.health.unhealthy_now(),
+            recalibrations: self.health.recalibrations(),
+            quarantines: self.health.quarantines(),
+            server_epoch: self.epoch,
+            banks_restored: read(&stats.banks_restored),
+            banks_recalibrated: read(&stats.banks_recalibrated),
+            wal_records_replayed: read(&stats.wal_records_replayed),
+            restore_us: read(&stats.restore_us),
+            dedup_hits: self.dedup.hits(),
+            queue_depth: self.queue_depth(),
+            workers: read(&self.workers),
+            shards: self.shards.len() as u64,
+            banks: self.registry.resident() as u64,
+        }
     }
 
     /// Appends one record to the WAL (no-op without a state dir),
@@ -744,7 +672,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// Health supervisors + the connection reaper.
+    /// Health supervisors.
     background: Vec<JoinHandle<()>>,
 }
 
@@ -779,8 +707,8 @@ impl ServerHandle {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Supervisors and the reaper poll the shutdown flag; they exit
-        // within one slice.
+        // Supervisors poll the shutdown flag; they exit within one
+        // slice.
         for thread in self.background.drain(..) {
             let _ = thread.join();
         }
@@ -862,7 +790,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let shard_count = config.shards.max(1);
     let registry = BankRegistry::new(model.clone(), channels, SERVE_SEED, config.max_banks.max(1));
     let health = Arc::new(HealthTable::new(RECOVERY_ROUNDS));
-    let recovery = Arc::new(RecoveryLedger::default());
+    let stats = Arc::new(Stats::default());
     let dedup = DedupTable::new(DEDUP_WINDOW);
     let mut epoch = 1u64;
     // Warm restart happens before the listener answers anything: hooks
@@ -879,7 +807,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
             registry.set_hooks(Arc::new(DurabilityHooks {
                 store: Arc::clone(&store),
                 health: Arc::clone(&health),
-                recovery: Arc::clone(&recovery),
+                stats: Arc::clone(&stats),
                 default: default_backend,
             }));
             let restore_started = Instant::now();
@@ -899,11 +827,11 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 channels,
                 default_backend,
             );
-            recovery
+            stats
                 .wal_records_replayed
                 .store(replayed, Ordering::Relaxed);
             compact_wal(&registry, &store, &health, &mut wal, default_backend);
-            recovery.restore_us.store(
+            stats.restore_us.store(
                 restore_started.elapsed().as_micros() as u64,
                 Ordering::Relaxed,
             );
@@ -939,7 +867,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         model,
         channels,
         backend: default_backend,
-        stats: Stats::default(),
+        stats,
         shutdown: AtomicBool::new(false),
         next_index: AtomicU64::new(0),
         next_conn: AtomicU64::new(0),
@@ -951,12 +879,9 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         health_period: config.health_period,
         io_timeout: config.io_timeout.max(Duration::from_millis(1)),
         recalibrate: config.recalibrate,
-        conns: Mutex::new(HashMap::new()),
-        started: Instant::now(),
         durability,
         dedup,
         epoch,
-        recovery,
     });
 
     // Round-robin the worker budget across shards, at least one each.
@@ -1015,8 +940,8 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         }
     };
 
-    // Background loops are best-effort: a failed spawn costs the
-    // feature (counted), never the server.
+    // Supervisors are best-effort: a failed spawn costs the feature
+    // (counted), never the server.
     let mut background = Vec::new();
     if let Some(period) = shared.health_period {
         for shard in 0..shard_count {
@@ -1028,16 +953,6 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 Ok(handle) => background.push(handle),
                 Err(_) => vardelay_obs::counter("serve.spawn_failures").add(1),
             }
-        }
-    }
-    {
-        let reaper_shared = Arc::clone(&shared);
-        match std::thread::Builder::new()
-            .name("serve-reaper".to_owned())
-            .spawn(move || reaper_loop(&reaper_shared))
-        {
-            Ok(handle) => background.push(handle),
-            Err(_) => vardelay_obs::counter("serve.spawn_failures").add(1),
         }
     }
 
@@ -1059,6 +974,9 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     while !shared.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // A finished reader's handle still pins its stack until
+                // joined; release those before adding another.
+                connections.retain(|conn| !conn.is_finished());
                 let conn_shared = Arc::clone(shared);
                 match std::thread::Builder::new()
                     .name("serve-conn".to_owned())
@@ -1102,21 +1020,15 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     // queue together receive *different* retry hints (no lockstep
     // re-stampede) while any given run of the server is reproducible.
     let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-    // Register with the reaper: a clone it can cut, plus the moment the
-    // current partial request line began (0 = framing is clean). Failing
-    // to clone just leaves this connection unreaped.
-    let pending = Arc::new(AtomicU64::new(0));
-    if let Ok(clone) = stream.try_clone() {
-        let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-        conns.insert(
-            conn_id,
-            ConnEntry {
-                stream: clone,
-                pending_since_ms: Arc::clone(&pending),
-            },
-        );
-    }
     let mut retry_rng = SplitMix64::new(0x7e72 ^ conn_id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    // The partial-line deadline. The grace is double the write deadline
+    // on purpose: a connection that is both half-framed *and*
+    // write-blocked should surface as an `io_timeout` (the more specific
+    // diagnosis) before it is reaped.
+    let line_deadline = 2 * shared.io_timeout;
+    // When the first byte of the current partial line arrived (`None`
+    // while the framing is clean).
+    let mut line_started: Option<Instant> = None;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     // After an oversized line is rejected, bytes are discarded up to
@@ -1142,6 +1054,8 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
                     } else if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
                         let line: Vec<u8> = buf.drain(..=pos).collect();
                         let text = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+                        // A completed line restarts the clock.
+                        line_started = None;
                         if handle_line(shared, &reply, text.trim(), &mut retry_rng) {
                             break 'conn;
                         }
@@ -1161,14 +1075,12 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
                         break;
                     }
                 }
-                // Clean framing clears the reaper stamp; the stamp
-                // itself is only ever *set* below, when the read loop
-                // goes idle with bytes owed. A busy connection (lines
-                // still being parsed and answered, however slowly the
-                // stalled peer lets us write) is the write deadline's
-                // problem, not the reaper's.
+                // Whatever remains is a partial line, timed from the read
+                // that brought its first byte.
                 if buf.is_empty() {
-                    pending.store(0, Ordering::Relaxed);
+                    line_started = None;
+                } else {
+                    line_started.get_or_insert_with(Instant::now);
                 }
             }
             Err(e)
@@ -1180,23 +1092,17 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     break;
                 }
-                // Waiting for input with half a line in hand: start the
-                // reaper clock, once per partial line, so the deadline
-                // measures from (within one read timeout of) the line's
-                // first byte. A slow-loris drip trips this between
-                // bytes and never clears it — only a completed line
-                // does.
-                if !buf.is_empty() && pending.load(Ordering::Relaxed) == 0 {
-                    // +1 so a stamp taken in the first millisecond is
-                    // distinguishable from "no partial line".
-                    pending.store(shared.now_ms() + 1, Ordering::Relaxed);
-                }
             }
             Err(_) => break,
         }
+        // Checked after every read, not only a timed-out one: a drip
+        // faster than the read timeout never lets a read time out.
+        if line_started.is_some_and(|since| since.elapsed() > line_deadline) {
+            shared.stats.reaped.fetch_add(1, Ordering::Relaxed);
+            let _ = stream.shutdown(Shutdown::Both);
+            break;
+        }
     }
-    let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-    conns.remove(&conn_id);
 }
 
 /// The retry-hint window: a deterministic base plus the jitter spread
@@ -1228,7 +1134,6 @@ fn handle_line(
     retry_rng: &mut SplitMix64,
 ) -> bool {
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    vardelay_obs::counter("serve.lines").add(1);
     let envelope = match Envelope::parse(line) {
         Ok(envelope) => envelope,
         Err(error) => {
@@ -1257,7 +1162,6 @@ fn handle_line(
             .stats
             .quota_rejections
             .fetch_add(1, Ordering::Relaxed);
-        vardelay_obs::counter("serve.quota_rejections").add(1);
         let (base, spread) = retry_window(shared);
         let response = Response::Error(ErrorReply {
             kind: ErrorKind::Overloaded,
@@ -1753,7 +1657,6 @@ fn finish(
             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
         ) {
             shared.stats.io_timeouts.fetch_add(1, Ordering::Relaxed);
-            vardelay_obs::counter("serve.io_timeouts").add(1);
             let _ = stream.shutdown(Shutdown::Both);
         }
         // Anything else (connection reset, broken pipe) means the
@@ -1762,7 +1665,7 @@ fn finish(
 }
 
 // ---------------------------------------------------------------------------
-// Background loops: health supervisor + connection reaper
+// Health supervisor
 // ---------------------------------------------------------------------------
 
 /// Sleeps up to `period` in short slices, returning early (false) when
@@ -1858,33 +1761,6 @@ fn health_round(shared: &Arc<Shared>, shard: usize, round: u64) {
                     }
                 }
                 shared.health.note_recalibration();
-            }
-        }
-    }
-}
-
-/// Cuts connections whose partial request line has been pending past
-/// twice the IO deadline. Purely idle connections (clean framing, no
-/// bytes owed) are left alone — only a half-sent line pins parser
-/// state. The grace is double the write deadline on purpose: a
-/// connection that is both half-framed *and* write-blocked should
-/// surface as an `io_timeout` (the more specific diagnosis) before the
-/// reaper gets to it.
-fn reaper_loop(shared: &Arc<Shared>) {
-    let timeout_ms = 2 * shared.io_timeout.as_millis() as u64;
-    let tick = (shared.io_timeout / 4).clamp(Duration::from_millis(5), Duration::from_millis(50));
-    while sleep_unless_draining(shared, tick) {
-        let now = shared.now_ms();
-        let conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-        for entry in conns.values() {
-            let since = entry.pending_since_ms.load(Ordering::Relaxed);
-            if since != 0 && now.saturating_sub(since - 1) > timeout_ms {
-                let _ = entry.stream.shutdown(Shutdown::Both);
-                // Clear the stamp so one bad socket is counted once;
-                // the reader loop will error out and deregister.
-                entry.pending_since_ms.store(0, Ordering::Relaxed);
-                shared.stats.reaped.fetch_add(1, Ordering::Relaxed);
-                vardelay_obs::counter("serve.conns_reaped").add(1);
             }
         }
     }

@@ -23,21 +23,12 @@ use std::time::Instant;
 use vardelay_backend::{make_backend, BackendKind, BackendSentinel, DelayBackend};
 use vardelay_core::config::ModelConfig;
 use vardelay_core::{CalibrationTable, SentinelConfig, SentinelVerdict};
+use vardelay_obs::Fingerprint;
 use vardelay_runner::{task_seed, Runner};
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    Fingerprint::new().push_bytes(bytes).finish()
 }
 
 /// The lane key a tenant label hashes to (per-tenant fair-queue lane).
@@ -89,20 +80,13 @@ impl HashRing {
 
     /// The ring position of a `(tenant, channel)` pair.
     fn route_key(tenant: &str, channel: usize) -> u64 {
-        let mut hash = FNV_OFFSET;
-        for &b in tenant.as_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
         // A separator byte keeps ("ab", 1) and ("a", ...) distinct, then
         // the channel index is folded in byte by byte.
-        hash ^= b'/' as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-        for b in (channel as u64).to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        Fingerprint::new()
+            .push_bytes(tenant.as_bytes())
+            .push_bytes(b"/")
+            .push_usize(channel)
+            .finish()
     }
 }
 
@@ -480,6 +464,11 @@ mod tests {
             }
         }
         assert!(hit.iter().all(|&h| h), "512 keys must reach all 4 shards");
+        // Lanes and routes pinned bit for bit: a persisted deployment's
+        // tenants must keep their lane and shard across releases.
+        assert_eq!(tenant_lane("acme"), 0x0724_d383_f4f6_de0f);
+        let acme: Vec<usize> = (0..8).map(|ch| ring.route("acme", ch)).collect();
+        assert_eq!(acme, [0, 0, 1, 2, 2, 1, 0, 3]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Network chaos over live sockets: slow-loris drips, mid-line
 //! disconnects, and stalled readers from `vardelay-faults` against a
-//! real server. The invariants: no worker ever wedges, the reaper cuts
-//! partial-line connections at the IO deadline, write stalls surface as
+//! real server. The invariants: no worker ever wedges, each reader cuts
+//! its partial-line connection at the deadline, write stalls surface as
 //! counted `io_timeouts` (not hung threads), and a healthy client is
 //! answered throughout every attack.
 
@@ -64,43 +64,45 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// A slow-loris connection (one byte every 50 ms, never a newline) is
-/// cut by the reaper at the partial-line deadline (2 × the 150 ms IO
+/// A slow-loris connection (one byte every `gap`, never a newline) is
+/// cut by its reader at the partial-line deadline (2 × the 150 ms IO
 /// timeout) — long before the drip would finish — while a healthy
-/// client on another connection is answered the whole time.
+/// client on another connection is answered the whole time. The 10 ms
+/// drip is faster than the reader's 25 ms read timeout, so no read ever
+/// times out on it.
 #[test]
 fn a_slow_loris_is_reaped_while_healthy_clients_are_served() {
-    let handle = serve(chaos_config(150)).expect("bind");
-    let addr = handle.addr();
-    let mut client = Client::connect(addr).expect("connect");
+    for gap in [Duration::from_millis(50), Duration::from_millis(10)] {
+        let handle = serve(chaos_config(150)).expect("bind");
+        let addr = handle.addr();
+        let mut client = Client::connect(addr).expect("connect");
 
-    let line = "{\"op\":\"set_delay\",\"channel\":1,\"ps\":40.0,\"id\":77}".to_owned();
-    let loris = std::thread::spawn(move || {
-        vardelay_faults::slow_loris(addr, &line, Duration::from_millis(50))
-    });
+        let line = "{\"op\":\"set_delay\",\"channel\":1,\"ps\":40.0,\"id\":77}".to_owned();
+        let loris = std::thread::spawn(move || vardelay_faults::slow_loris(addr, &line, gap));
 
-    let mut id = 1u64;
-    wait_until("the reaper to cut the slow-loris connection", || {
-        id += 1;
-        healthy_call(&mut client, id).reaped >= 1
-    });
-    loris
-        .join()
-        .expect("loris thread")
-        .expect("loris strike IO");
+        let mut id = 1u64;
+        wait_until("the reader to cut the slow-loris connection", || {
+            id += 1;
+            healthy_call(&mut client, id).reaped >= 1
+        });
+        loris
+            .join()
+            .expect("loris thread")
+            .expect("loris strike IO");
 
-    // The drip never formed a request line, so it was never counted as
-    // one; the healthy client's traffic is all there is.
-    let stats = healthy_call(&mut client, 9_000);
-    assert_eq!(
-        stats.parse_errors, 0,
-        "a reaped partial line is not a parse"
-    );
-    assert!(stats.reaped >= 1);
+        // The drip never formed a request line, so it was never counted
+        // as one; the healthy client's traffic is all there is.
+        let stats = healthy_call(&mut client, 9_000);
+        assert_eq!(
+            stats.parse_errors, 0,
+            "a reaped partial line is not a parse ({gap:?} drip)"
+        );
+        assert!(stats.reaped >= 1);
 
-    handle.shutdown();
-    let report = handle.join();
-    assert!(report.stats.reaped >= 1, "{:?}", report.stats);
+        handle.shutdown();
+        let report = handle.join();
+        assert!(report.stats.reaped >= 1, "{gap:?} drip: {:?}", report.stats);
+    }
 }
 
 /// A volley of mid-line disconnects (half a request, then a hard close)
