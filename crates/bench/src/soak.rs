@@ -39,6 +39,14 @@ use crate::EXPERIMENT_SEED;
 /// not the quarantined channel itself.
 pub const DRIFT_CHANNEL: usize = 7;
 
+/// The soaked server's IO deadline. Its partial-line deadline, twice
+/// this, must fall inside one strike: a slow-loris strike drips
+/// [`NetChaos`]'s 48-byte line at 20 ms a byte, about 0.96 s, so a
+/// 200 ms partial-line deadline cuts it mid-drip and `reaped` counts
+/// it. Under the 10 s in-process default every strike ends before its
+/// deadline and `reaped` reads 0 on working code.
+const SOAK_IO_TIMEOUT: Duration = Duration::from_millis(100);
+
 /// Campaign shape. [`Default`] is what CI runs: four drift incidents of
 /// alternating severity against channel [`DRIFT_CHANNEL`], a 25 ms
 /// sentinel period, two load clients on the healthy channels, and a
@@ -246,9 +254,9 @@ fn probe_stats(client: &mut Client, id: u64) -> std::io::Result<StatsReply> {
 /// Runs the campaign and gathers the report.
 ///
 /// Uses its own in-process server (workers=2, one shard, the
-/// configured sentinel period); `VARDELAY_SERVE_RECAL=0` in the
-/// environment sabotages recalibration exactly as it would for
-/// `repro serve`.
+/// configured sentinel period, a 100 ms IO deadline);
+/// `VARDELAY_SERVE_RECAL=0` in the environment sabotages recalibration
+/// exactly as it would for `repro serve`.
 ///
 /// # Errors
 ///
@@ -263,6 +271,7 @@ pub fn run_soak(config: &SoakConfig) -> std::io::Result<SoakReport> {
     serve_config.workers = 2;
     serve_config.shards = 1;
     serve_config.health_period = Some(config.health_period);
+    serve_config.io_timeout = SOAK_IO_TIMEOUT;
     serve_config.recalibrate = vardelay_obs::env_flag("VARDELAY_SERVE_RECAL").unwrap_or(true);
     let handle = serve(serve_config)?;
     let addr = handle.addr();

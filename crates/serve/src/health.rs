@@ -56,8 +56,8 @@ pub enum ChannelState {
 
 impl ChannelState {
     /// The state's durable wire form, as written into calibration
-    /// snapshots and WAL `health` records (DESIGN.md §16):
-    /// `healthy` / `probation` / `quarantined` / `recovering:<rounds>`.
+    /// snapshots (DESIGN.md §16): `healthy` / `probation` /
+    /// `quarantined` / `recovering:<rounds>`.
     pub fn to_wire(self) -> String {
         match self {
             ChannelState::Healthy => "healthy".to_owned(),
@@ -223,9 +223,9 @@ impl HealthTable {
         action
     }
 
-    /// Reinstates a persisted state during warm restart (snapshot
-    /// restore, then WAL replay in record order so the latest logged
-    /// transition wins). Restoring `Healthy` *removes* the entry: a
+    /// Reinstates the state a channel's snapshot carries when its bank
+    /// is restored (warm restart or re-admission after eviction).
+    /// Restoring `Healthy` *removes* the entry: a
     /// never-probed channel and a healthy one are indistinguishable, and
     /// keeping the map sparse keeps `unhealthy_now` cheap. This is an
     /// overwrite, not a verdict — counters and the MTTR clock restart
@@ -353,7 +353,7 @@ mod tests {
         table.restore("t", 4, ChannelState::Quarantined);
         assert!(!table.admits("t", 4), "restored quarantine still rejects");
         assert_eq!(table.quarantines(), 0, "restore is not a new incident");
-        // Later WAL records overwrite earlier ones, and a healthy
+        // A later restore overwrites an earlier one, and a healthy
         // restore clears the entry entirely.
         table.restore("t", 4, ChannelState::Recovering { rounds: 1 });
         assert_eq!(table.state("t", 4), ChannelState::Recovering { rounds: 1 });

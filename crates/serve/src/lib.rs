@@ -43,16 +43,16 @@
 //! worker.
 //!
 //! Since PR 9 the service is *durable* (DESIGN.md §16): with
-//! `VARDELAY_SERVE_STATE_DIR` set, installed calibration tables and
-//! channel health states are persisted to a per-tenant snapshot store
-//! ([`persist`]), state-mutating requests flow through a digest-checked
-//! write-ahead log ([`wal`]) with snapshot-then-truncate compaction,
+//! `VARDELAY_SERVE_STATE_DIR` set, a channel's calibration table and
+//! health state are saved to a per-tenant snapshot store ([`persist`])
+//! whenever either changes, request effects flow through a
+//! digest-checked write-ahead log ([`wal`]) that compaction truncates,
 //! and a restarted server warm-starts: it restores every snapshot whose
-//! fingerprint matches the live circuit, verifies each with a sentinel
-//! probe sweep, replays the WAL, and bumps a monotonic `server_epoch`
-//! stamped into every response. Client retries carrying a `req_id` are
-//! deduplicated through a bounded per-tenant window ([`dedup`]) that
-//! survives the restart via the WAL.
+//! fingerprint matches the live circuit, checks each with one sentinel
+//! probe at a point every channel shares, replays the WAL, and bumps a
+//! monotonic `server_epoch` stamped into every response. Client retries
+//! carrying a `req_id` are deduplicated through a bounded per-tenant
+//! window ([`dedup`]) that survives the restart via the WAL.
 //!
 //! Since PR 10 the service is *backend-pluggable* (DESIGN.md §17):
 //! every bank channel is a `dyn` [`vardelay_backend::DelayBackend`], so

@@ -4,7 +4,10 @@
 //! `VARDELAY_SERVE_STATE_DIR`, published through the stage-fsync-rename
 //! protocol from [`vardelay_obs::artifact`] so a crash mid-save leaves
 //! either the previous complete snapshot or the new one — never a torn
-//! file under the real name. The file format is
+//! file under the real name. The server writes a channel's snapshot
+//! when its table or its health state changes and at no other time: a
+//! fresh calibration at bank build, and a health round that moved the
+//! channel's state or swapped in a rebuilt table. The file format is
 //!
 //! ```text
 //! vardelay-snap-v1
@@ -30,7 +33,7 @@
 //! [`SnapshotStore::tenants`] enumeration.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use vardelay_core::CalibrationTable;
 use vardelay_obs::artifact::{digest, sweep_stale_tmp, tmp_path};
@@ -184,16 +187,6 @@ impl SnapshotStore {
         Ok(SnapshotStore { root, fingerprint })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The circuit fingerprint this store stamps into snapshots.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Where this store keeps its write-ahead log.
     pub fn wal_path(&self) -> PathBuf {
         self.root.join("wal.log")
@@ -249,14 +242,6 @@ impl SnapshotStore {
             std::fs::create_dir_all(parent)?;
         }
         let text = encode_snapshot(self.fingerprint, state, table);
-        // A warm boot re-persists banks it just restored (the install
-        // hook, then boot compaction); when the durable truth is
-        // already byte-identical, skip the stage→fsync→rename cycle —
-        // the fsyncs, not the bytes, dominate a restart's wall clock.
-        if std::fs::read_to_string(&path).is_ok_and(|existing| existing == text) {
-            vardelay_obs::counter("persist.snapshots_unchanged").add(1);
-            return Ok(());
-        }
         let tmp = tmp_path(&path);
         std::fs::write(&tmp, &text)?;
         // Staged but not yet published: dying here must leave the old

@@ -44,13 +44,15 @@
 //! looks idle.
 //!
 //! With `VARDELAY_SERVE_STATE_DIR` set the server is also *durable*
-//! (DESIGN.md §16): calibration tables and health states persist to a
-//! [`SnapshotStore`], state-mutating commits append to a digest-checked
-//! [`Wal`] before the response leaves the socket, and a restart
-//! warm-starts by restoring snapshots (sentinel-verified per channel),
-//! replaying the WAL, and bumping a monotonic `server_epoch` stamped
-//! into every response. `req_id`-tagged requests deduplicate through a
-//! [`DedupTable`] window that survives the restart via the WAL.
+//! (DESIGN.md §16): a channel's snapshot in the [`SnapshotStore`] is
+//! rewritten whenever its calibration table or health state changes,
+//! request effects (`set_delay` commits, `req_id` responses) append to
+//! a digest-checked [`Wal`] before the response leaves the socket, and
+//! a restart warm-starts by restoring snapshots (each checked by one
+//! sentinel probe at a point every channel shares), replaying the WAL,
+//! and bumping a monotonic `server_epoch` stamped into every response.
+//! `req_id`-tagged requests deduplicate through a [`DedupTable`] window
+//! that survives the restart via the WAL.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -62,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use vardelay_ate::{DegradedPolicy, DeskewEngine, ParallelBus};
-use vardelay_backend::{BackendKind, BackendSentinel};
+use vardelay_backend::{BackendKind, BackendSentinel, DelayBackend};
 use vardelay_core::config::ModelConfig;
 use vardelay_core::{
     check_calibration, test_dac, CalibrationTable, CircuitHealth, HealthVerdict, JitterInjector,
@@ -155,7 +157,7 @@ pub struct ServeConfig {
     /// disables the snapshot store, the WAL, and warm restart — the
     /// server is purely in-memory, exactly as before PR 9.
     pub state_dir: Option<PathBuf>,
-    /// Pending WAL records before a snapshot-then-truncate compaction
+    /// Pending WAL records before compaction truncates the log
     /// (`VARDELAY_SERVE_WAL_COMPACT`; default 512). Ignored without a
     /// state directory.
     pub wal_compact: u64,
@@ -293,14 +295,13 @@ impl Stats {
 struct Durability {
     store: Arc<SnapshotStore>,
     wal: Mutex<Wal>,
-    /// Pending records that trigger a snapshot-then-truncate pass.
+    /// Pending records that trigger a compaction.
     compact_every: u64,
 }
 
 /// The [`BankHooks`] implementation that makes the registry durable:
-/// builds restore from (and re-verify) snapshots, finished builds and
-/// evictions persist the bank — so quarantine state survives LRU
-/// eviction, not just restarts.
+/// builds restore from (and re-verify) snapshots, and a finished build
+/// publishes the channels it calibrated fresh.
 struct DurabilityHooks {
     store: Arc<SnapshotStore>,
     health: Arc<HealthTable>,
@@ -351,71 +352,50 @@ impl BankHooks for DurabilityHooks {
                 .banks_recalibrated
                 .fetch_add(1, Ordering::Relaxed);
         }
-        // Persist on install: the freshly-built (or freshly-verified)
-        // tables are the durable truth from this moment.
-        persist_bank(&self.store, &self.health, id.tenant(), bank);
-    }
-
-    fn evicted(&self, id: &BankId, bank: &TenantBank) {
-        if id.kind() != self.default {
-            return;
+        // A fresh calibration is a new table; a restored channel's
+        // snapshot already holds its table and state.
+        for (channel, slot) in bank.channels.iter().enumerate() {
+            if !restored[channel] {
+                save_snapshot(&self.store, &self.health, id.tenant(), channel, slot);
+            }
         }
-        persist_bank(&self.store, &self.health, id.tenant(), bank);
     }
 }
 
-/// Persists every calibrated channel of `bank` (table + health state).
-/// Returns `false` when any save failed to publish — the caller must
-/// then keep the WAL, because the snapshots no longer cover it.
-fn persist_bank(
+/// Publishes one channel's snapshot: its installed table under its
+/// current health state. Snapshots are written when a table or a health
+/// state changes and at no other time (DESIGN.md §16). A failed save is
+/// counted, never fatal: the channel's snapshot stays as of its last
+/// successful save, and the next boot still checks it against the
+/// digest, the fingerprint and a sentinel probe.
+fn save_snapshot(
     store: &SnapshotStore,
     health: &HealthTable,
     tenant: &str,
-    bank: &TenantBank,
-) -> bool {
-    let mut all_saved = true;
-    for (channel, slot) in bank.channels.iter().enumerate() {
-        let table = {
-            let circuit = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            circuit.calibration().cloned()
-        };
-        let Some(table) = table else {
-            continue;
-        };
-        let state = health.state(tenant, channel);
-        if store.save_channel(tenant, channel, state, &table).is_err() {
-            vardelay_obs::counter("persist.save_failures").add(1);
-            all_saved = false;
-        }
+    channel: usize,
+    slot: &Mutex<Box<dyn DelayBackend>>,
+) {
+    let table = slot
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .calibration()
+        .cloned();
+    let Some(table) = table else {
+        return;
+    };
+    let state = health.state(tenant, channel);
+    if store.save_channel(tenant, channel, state, &table).is_err() {
+        vardelay_obs::counter("persist.save_failures").add(1);
     }
-    all_saved
 }
 
-/// Snapshot-then-truncate compaction (DESIGN.md §16): persist every
-/// resident bank, then empty the log its records described. A crash
-/// between the two steps (the `wal-compact` kill point) is harmless —
-/// the next boot replays the idempotent records over the fresh
-/// snapshots and converges to the same state. If any snapshot failed to
-/// publish, the WAL is kept: replaying it over a stale snapshot is
-/// correct, dropping it would not be.
-fn compact_wal(
-    registry: &BankRegistry,
-    store: &SnapshotStore,
-    health: &HealthTable,
-    wal: &mut Wal,
-    default: BackendKind,
-) {
-    let mut all_saved = true;
-    for (id, bank) in registry.snapshot() {
-        // Non-default banks are ephemeral (see [`DurabilityHooks`]);
-        // their WAL-free existence never blocks a truncation.
-        if id.kind() != default {
-            continue;
-        }
-        all_saved &= persist_bank(store, health, id.tenant(), &bank);
-    }
+/// Compaction (DESIGN.md §16): empties the log. Every table and health
+/// state is already in the snapshots, so nothing is written first. A
+/// crash at the `wal-compact` kill point leaves the log for the next
+/// boot to replay again, which is idempotent.
+fn compact_wal(wal: &mut Wal) {
     vardelay_faults::kill_point("wal-compact");
-    if all_saved && wal.truncate().is_ok() {
+    if wal.truncate().is_ok() {
         vardelay_obs::counter("wal.compactions").add(1);
     }
 }
@@ -438,13 +418,11 @@ fn bank_fingerprint(model: &ModelConfig, channels: usize, backend: BackendKind) 
 /// Applies recovered WAL records in append order. `apply` records
 /// re-execute the solve (idempotent: the same picosecond target lands
 /// on the same tap and DAC codes), `dedup` records re-seed the
-/// idempotency window without re-executing, `health` records overwrite
-/// the health table so the last logged transition wins. Returns how
-/// many records took effect.
+/// idempotency window without re-executing. Returns how many records
+/// took effect.
 fn replay_wal(
     records: &[WalRecord],
     registry: &BankRegistry,
-    health: &HealthTable,
     dedup: &DedupTable,
     channels: usize,
     default: BackendKind,
@@ -481,23 +459,15 @@ fn replay_wal(
                     replayed += 1;
                 }
             }
-            WalRecord::Health {
-                tenant,
-                channel,
-                state,
-            } => {
-                health.restore(tenant, *channel, *state);
-                replayed += 1;
-            }
         }
     }
     replayed
 }
 
 /// The health-table key for a bank: the bare tenant label for the
-/// server's default backend (so persisted health states, WAL records,
-/// and every pre-backend deployment read unchanged), or a composite
-/// with an unprintable separator for a wire-selected non-default bank.
+/// server's default backend (so persisted health states and every
+/// pre-backend deployment read unchanged), or a composite with an
+/// unprintable separator for a wire-selected non-default bank.
 /// The composite is in-memory only — never parsed back, never
 /// persisted — so a tenant label containing the separator cannot
 /// collide with a real `(tenant, backend)` pair's durable state.
@@ -620,13 +590,7 @@ impl Shared {
             return;
         }
         if wal.pending() >= durability.compact_every {
-            compact_wal(
-                &self.registry,
-                &durability.store,
-                &self.health,
-                &mut wal,
-                self.backend,
-            );
+            compact_wal(&mut wal);
         }
     }
 }
@@ -712,18 +676,11 @@ impl ServerHandle {
         for thread in self.background.drain(..) {
             let _ = thread.join();
         }
-        // Parting persistence: a cleanly-drained durable server leaves
-        // fresh snapshots and an empty WAL, so the next boot restores
-        // without replaying anything.
+        // Parting compaction: a cleanly-drained durable server leaves
+        // an empty WAL beside its current snapshots, so the next boot
+        // restores without replaying anything.
         if let Some(durability) = &self.shared.durability {
-            let mut wal = durability.wal.lock().unwrap_or_else(|e| e.into_inner());
-            compact_wal(
-                &self.shared.registry,
-                &durability.store,
-                &self.shared.health,
-                &mut wal,
-                self.shared.backend,
-            );
+            compact_wal(&mut durability.wal.lock().unwrap_or_else(|e| e.into_inner()));
         }
         DrainReport {
             stats: self.shared.stats_reply(),
@@ -796,8 +753,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
     // Warm restart happens before the listener answers anything: hooks
     // first (so every bank build consults the store), then persisted
     // tenants rebuild through the sentinel-verified restore path, then
-    // the WAL replays over them, then a compaction folds the replayed
-    // state into fresh snapshots and empties the log.
+    // the WAL replays over them, then compaction empties the log.
     let durability = match &config.state_dir {
         None => None,
         Some(dir) => {
@@ -813,24 +769,17 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
             let restore_started = Instant::now();
             let (mut wal, records, _torn) = Wal::open(&store.wal_path())?;
             // Persisted banks rebuild through the parallel runner: the
-            // per-channel restore fans out, so a warm boot's sentinel
-            // sweeps cost one channel's probes of wall clock, not
-            // eight.
+            // per-channel restores fan out, and their probes share one
+            // point, so a warm boot measures it once and every other
+            // probe waits on or hits the measurement memo.
             for tenant in store.tenants() {
                 registry.get(&BankId::new(tenant, default_backend), Runner::from_env());
             }
-            let replayed = replay_wal(
-                &records,
-                &registry,
-                &health,
-                &dedup,
-                channels,
-                default_backend,
-            );
+            let replayed = replay_wal(&records, &registry, &dedup, channels, default_backend);
             stats
                 .wal_records_replayed
                 .store(replayed, Ordering::Relaxed);
-            compact_wal(&registry, &store, &health, &mut wal, default_backend);
+            compact_wal(&mut wal);
             stats.restore_us.store(
                 restore_started.elapsed().as_micros() as u64,
                 Ordering::Relaxed,
@@ -1701,7 +1650,13 @@ fn health_loop(shared: &Arc<Shared>, shard: usize, period: Duration) {
 fn health_round(shared: &Arc<Shared>, shard: usize, round: u64) {
     for (id, bank) in shared.registry.snapshot() {
         let key = health_key(&id, shared.backend);
-        let durable = id.kind() == shared.backend;
+        // Only default-backend banks persist; a non-default bank's
+        // states live and die in memory.
+        let store = shared
+            .durability
+            .as_ref()
+            .filter(|_| id.kind() == shared.backend)
+            .map(|durability| &durability.store);
         for (channel, slot) in bank.channels.iter().enumerate() {
             // Shards probe disjoint channel sets — the same ownership
             // split the request router uses (which routes by the bare
@@ -1719,18 +1674,7 @@ fn health_round(shared: &Arc<Shared>, shard: usize, round: u64) {
             let report = sentinel.run(task_seed(SERVE_SEED, round));
             let was = shared.health.state(&key, channel);
             let action = shared.health.observe(&key, channel, report.verdict());
-            let now_state = shared.health.state(&key, channel);
-            if now_state != was && durable {
-                // State transitions are durable: a quarantine seen at
-                // round N must still reject at the next boot even if no
-                // snapshot pass ran in between. (Non-default banks are
-                // ephemeral; their states live and die in memory.)
-                shared.wal_append(&WalRecord::Health {
-                    tenant: id.tenant().to_owned(),
-                    channel,
-                    state: now_state,
-                });
-            }
+            let mut changed = shared.health.state(&key, channel) != was;
             if action == HealthAction::Recalibrate && shared.recalibrate {
                 // The expensive part happens on this thread's private
                 // copy; workers never wait on it.
@@ -1740,27 +1684,17 @@ fn health_round(shared: &Arc<Shared>, shard: usize, round: u64) {
                 };
                 copy.calibrate_with(Runner::serial());
                 if let Some(table) = copy.calibration().cloned() {
-                    {
-                        let mut backend =
-                            slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                        backend.install_calibration(table.clone());
-                    }
-                    // The swapped-in table is the durable one now; the
-                    // stale snapshot must not outlive it.
-                    if durable {
-                        if let Some(durability) = &shared.durability {
-                            let state = shared.health.state(&key, channel);
-                            if durability
-                                .store
-                                .save_channel(id.tenant(), channel, state, &table)
-                                .is_err()
-                            {
-                                vardelay_obs::counter("persist.save_failures").add(1);
-                            }
-                        }
-                    }
+                    let mut backend = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+                    backend.install_calibration(table);
+                    changed = true;
                 }
                 shared.health.note_recalibration();
+            }
+            // One save per change, whether the state moved, the table
+            // was swapped, or both: a quarantine seen at round N must
+            // still reject at the next boot.
+            if let Some(store) = store.filter(|_| changed) {
+                save_snapshot(store, &shared.health, id.tenant(), channel, slot);
             }
         }
     }

@@ -24,7 +24,7 @@ use vardelay_backend::{make_backend, BackendKind, BackendSentinel, DelayBackend}
 use vardelay_core::config::ModelConfig;
 use vardelay_core::{CalibrationTable, SentinelConfig, SentinelVerdict};
 use vardelay_obs::Fingerprint;
-use vardelay_runner::{task_seed, Runner};
+use vardelay_runner::Runner;
 
 /// FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -46,7 +46,6 @@ const VNODES_PER_SHARD: usize = 64;
 pub struct HashRing {
     /// `(ring position, shard index)`, sorted by position.
     points: Vec<(u64, usize)>,
-    shards: usize,
 }
 
 impl HashRing {
@@ -62,12 +61,7 @@ impl HashRing {
         }
         points.sort_unstable();
         points.dedup_by_key(|p| p.0);
-        HashRing { points, shards }
-    }
-
-    /// The shard count the ring was built over.
-    pub fn shards(&self) -> usize {
-        self.shards
+        HashRing { points }
     }
 
     /// Routes a `(tenant, channel)` pair to a shard: the first vnode at
@@ -116,11 +110,6 @@ impl QuotaTable {
             burst: burst.max(1.0),
             buckets: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Whether quotas are enforced at all.
-    pub fn enforced(&self) -> bool {
-        self.rate.is_some()
     }
 
     /// Tries to take one token from `tenant`'s bucket. `true` admits;
@@ -184,11 +173,11 @@ impl BankId {
 
 /// Durability callbacks the server installs on the registry
 /// (DESIGN.md §16). The registry itself stays storage-agnostic: it asks
-/// `restore` for a trusted table before calibrating, reports every
-/// finished build through `built`, and reports evictions through
-/// `evicted` so a bank's tables *and* health state can be persisted
-/// before the registry's only reference drops. All methods default to
-/// no-ops — a server without a state dir installs nothing.
+/// `restore` for a trusted table before calibrating and reports every
+/// finished build through `built`. Both default to no-ops — a server
+/// without a state dir installs nothing. Eviction calls no hook: a
+/// bank's snapshots are already current, because the server rewrites a
+/// channel's snapshot whenever its table or health state changes.
 pub trait BankHooks: Send + Sync {
     /// A trusted persisted table for `(bank, channel)`, or `None` to
     /// calibrate fresh. Implementations own corruption/fingerprint
@@ -202,11 +191,6 @@ pub trait BankHooks: Send + Sync {
     /// `restored[ch]` is `true` when channel `ch` was answered from a
     /// snapshot rather than freshly calibrated.
     fn built(&self, _id: &BankId, _bank: &TenantBank, _restored: &[bool]) {}
-
-    /// Called after the registry dropped its reference to an evicted
-    /// bank, outside the registry lock. In-flight requests may still be
-    /// finishing on it; per-channel locks make persisting safe.
-    fn evicted(&self, _id: &BankId, _bank: &TenantBank) {}
 }
 
 /// One tenant's calibrated channel bank.
@@ -233,17 +217,19 @@ impl TenantBank {
         id: &BankId,
     ) -> (TenantBank, Vec<bool>) {
         // Phase 1, fanned out per channel through the runner: build the
-        // circuit and attempt the snapshot restore. The sentinel probes
-        // are real measurements — the expensive part of a warm boot —
-        // so the restore verification spends a single probe per
-        // channel: the snapshot digest already rules out bit-rot, the
-        // probe rules out a *stale* table (a drifted circuit moves
-        // every grid point, so one seeded point sees it), and the
-        // health supervisor re-sweeps every resident channel at full
-        // probe depth within one period of boot. Three probes here
-        // would cost more wall clock than the fresh calibration the
-        // snapshots exist to avoid (24 measurements against a
-        // 17-point sweep).
+        // circuit and attempt the snapshot restore. A restored table is
+        // trusted after one sentinel probe: the snapshot digest already
+        // rules out bit-rot, the probe rules out a *stale* table (a
+        // drifted circuit moves every grid point, so one seeded point
+        // sees it), and the health supervisor re-sweeps every resident
+        // channel at full probe depth within one period of boot. Every
+        // channel of every bank is the same circuit, so the probe seed
+        // is the bank seed, shared by all channels: per-channel seeds
+        // would add distinct points to measure, not detection power.
+        // The concurrent probes of the one point single-flight through
+        // the measurement memo, so a warm boot measures one point per
+        // process, and a table this process already measured costs
+        // nothing.
         let boot_verify = SentinelConfig {
             probes: 1,
             ..SentinelConfig::default()
@@ -254,10 +240,7 @@ impl TenantBank {
             if let Some(table) = hooks.and_then(|h| h.restore(id, ch)) {
                 backend.install_calibration(table);
                 trusted = BackendSentinel::from_backend(backend.as_ref(), boot_verify)
-                    .map(|sentinel| {
-                        sentinel.run(task_seed(seed, ch as u64)).verdict()
-                            == SentinelVerdict::Healthy
-                    })
+                    .map(|sentinel| sentinel.run(seed).verdict() == SentinelVerdict::Healthy)
                     .unwrap_or(false);
                 if trusted {
                     vardelay_obs::counter("recovery.channels_restored").add(1);
@@ -359,7 +342,7 @@ impl BankRegistry {
     /// reference — in-flight requests holding the `Arc` finish on the
     /// evicted bank safely.
     pub fn get(&self, id: &BankId, runner: Runner) -> Arc<TenantBank> {
-        let (slot, evicted) = {
+        let slot = {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
             inner.lru.retain(|t| t != id);
             let slot = match inner.slots.get(id) {
@@ -371,28 +354,14 @@ impl BankRegistry {
                 }
             };
             inner.lru.push_back(id.clone());
-            let mut evicted = Vec::new();
             while inner.lru.len() > self.cap {
                 if let Some(cold) = inner.lru.pop_front() {
-                    if let Some(dropped) = inner.slots.remove(&cold) {
-                        // A slot still mid-build has nothing to persist.
-                        if let Some(bank) = dropped.get() {
-                            evicted.push((cold, Arc::clone(bank)));
-                        }
-                    }
+                    inner.slots.remove(&cold);
                     vardelay_obs::counter("serve.bank_evictions").add(1);
                 }
             }
-            (slot, evicted)
+            slot
         };
-        // Eviction hooks run outside the registry lock: persisting a
-        // bank takes its per-channel locks, and a request may be
-        // mid-solve on one of them.
-        if let Some(hooks) = self.hooks.get() {
-            for (cold, bank) in &evicted {
-                hooks.evicted(cold, bank);
-            }
-        }
         Arc::clone(slot.get_or_init(|| {
             vardelay_obs::counter("serve.bank_builds").add(1);
             let (bank, restored) = TenantBank::build(
@@ -505,7 +474,6 @@ mod tests {
         assert!(quota.admit("b"));
         // No rate → unlimited.
         let open = QuotaTable::new(None, 1.0);
-        assert!(!open.enforced());
         for _ in 0..100 {
             assert!(open.admit("a"));
         }
@@ -557,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn hooks_observe_restores_builds_and_evictions() {
+    fn hooks_observe_restores_and_builds() {
         #[derive(Default)]
         struct Recorder {
             table: Mutex<Option<CalibrationTable>>,
@@ -580,12 +548,6 @@ mod tests {
                     .lock()
                     .unwrap()
                     .push(format!("built {} restored={restored:?}", id.tenant()));
-            }
-            fn evicted(&self, id: &BankId, _bank: &TenantBank) {
-                self.events
-                    .lock()
-                    .unwrap()
-                    .push(format!("evicted {}", id.tenant()));
             }
         }
 
@@ -622,7 +584,6 @@ mod tests {
             vec![
                 "restore cold/0".to_owned(),
                 "built cold restored=[false]".to_owned(),
-                "evicted cold".to_owned(),
                 "restore warm/0".to_owned(),
                 "built warm restored=[true]".to_owned(),
             ]

@@ -15,7 +15,7 @@
 //! before reopening for append — replay then sees only records whose
 //! responses may have reached a client.
 //!
-//! Two record kinds:
+//! Two record kinds, both effects of a request:
 //!
 //! - [`WalRecord::Apply`] — a committed `set_delay` (the one request
 //!   that mutates channel hardware state). Replay re-executes it
@@ -24,25 +24,22 @@
 //! - [`WalRecord::Dedup`] — a `req_id`-carrying response, logged so the
 //!   idempotency window survives restart. Replay only re-seeds the
 //!   dedup cache; it never re-executes.
-//! - [`WalRecord::Health`] — a quarantine/probation transition from the
-//!   sentinel loop. Replay overwrites the health table in record order,
-//!   so the last logged transition wins.
 //!
-//! The log is bounded by snapshot-then-truncate compaction: once
-//! `VARDELAY_SERVE_WAL_COMPACT` records are pending, the server
-//! persists every resident bank and then empties the log. Replay is
-//! idempotent precisely so a crash *between* those two steps (the
-//! `wal-compact` kill point) is harmless — the next boot applies the
-//! records a second time over already-snapshotted state and arrives at
-//! the same place.
+//! Tables and health states never enter the log: a channel's snapshot
+//! is rewritten whenever either changes. Compaction therefore just
+//! truncates the log once `VARDELAY_SERVE_WAL_COMPACT` records are
+//! pending, dropping the programmed targets and dedup entries it held
+//! (DESIGN.md §16 names both losses). Replay is idempotent, so a crash
+//! at the `wal-compact` kill point, just before the truncation, is
+//! harmless: the next boot replays the same records and arrives at the
+//! same place. A line of a kind this build does not write fails to
+//! parse, so recovery ends there exactly as it does at a torn tail.
 
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use vardelay_obs::artifact::{digest, write_atomic};
 use vardelay_obs::json::Value;
-
-use crate::health::ChannelState;
 
 /// One durable event.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,15 +66,6 @@ pub enum WalRecord {
         /// the retry's own id is spliced in when it is replayed).
         response: String,
     },
-    /// A health-state transition observed by the sentinel loop.
-    Health {
-        /// Owning tenant.
-        tenant: String,
-        /// Channel index.
-        channel: usize,
-        /// The state the channel moved to.
-        state: ChannelState,
-    },
 }
 
 impl WalRecord {
@@ -101,15 +89,6 @@ impl WalRecord {
                 .with("tenant", tenant.as_str())
                 .with("req_id", req_id.as_str())
                 .with("response", response.as_str()),
-            WalRecord::Health {
-                tenant,
-                channel,
-                state,
-            } => Value::obj()
-                .with("kind", "health")
-                .with("tenant", tenant.as_str())
-                .with("channel", *channel as u64)
-                .with("state", state.to_wire().as_str()),
         }
         .render()
     }
@@ -128,11 +107,6 @@ impl WalRecord {
                 tenant: s("tenant")?,
                 req_id: s("req_id")?,
                 response: s("response")?,
-            }),
-            "health" => Some(WalRecord::Health {
-                tenant: s("tenant")?,
-                channel: n("channel")? as usize,
-                state: ChannelState::from_wire(&s("state")?)?,
             }),
             _ => None,
         }
@@ -158,7 +132,6 @@ impl WalRecord {
 /// An open, append-mode WAL.
 #[derive(Debug)]
 pub struct Wal {
-    path: PathBuf,
     file: std::fs::File,
     pending: u64,
 }
@@ -210,22 +183,13 @@ impl Wal {
             .append(true)
             .open(path)?;
         let pending = records.len() as u64;
-        Ok((
-            Wal {
-                path: path.to_path_buf(),
-                file,
-                pending,
-            },
-            records,
-            dropped,
-        ))
+        Ok((Wal { file, pending }, records, dropped))
     }
 
     /// Appends one record and flushes it to the OS. No per-record
     /// fsync: the threat model is process death (`kill -9` preserves
-    /// OS-buffered writes), and the snapshot pass at compaction is the
-    /// fsynced durability point — DESIGN.md §16 spells out the
-    /// power-loss window this trades away.
+    /// OS-buffered writes) — DESIGN.md §16 spells out the power-loss
+    /// window this trades away.
     ///
     /// # Errors
     ///
@@ -241,19 +205,13 @@ impl Wal {
         Ok(())
     }
 
-    /// Where the log lives on disk.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Records appended (or recovered) since the last truncation —
     /// the compaction trigger.
     pub fn pending(&self) -> u64 {
         self.pending
     }
 
-    /// Empties the log after a snapshot pass has made its records
-    /// redundant.
+    /// Empties the log (compaction).
     ///
     /// # Errors
     ///
@@ -268,6 +226,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let mut dir = std::env::temp_dir();
@@ -284,20 +243,20 @@ mod tests {
                 channel: 3,
                 ps: 52.5,
             },
-            WalRecord::Health {
+            WalRecord::Apply {
                 tenant: "acme".to_owned(),
                 channel: 7,
-                state: ChannelState::Quarantined,
+                ps: 118.125,
             },
             WalRecord::Dedup {
                 tenant: "acme".to_owned(),
                 req_id: "retry-1".to_owned(),
                 response: "{\"ok\":true,\"ps\":52.5}".to_owned(),
             },
-            WalRecord::Health {
+            WalRecord::Dedup {
                 tenant: "acme".to_owned(),
-                channel: 7,
-                state: ChannelState::Recovering { rounds: 2 },
+                req_id: "retry-2".to_owned(),
+                response: "{\"error\":\"unavailable\"}".to_owned(),
             },
         ]
     }
@@ -356,26 +315,38 @@ mod tests {
     fn a_flipped_bit_invalidates_that_record_and_its_suffix() {
         let dir = scratch("flip");
         let path = dir.join("wal.log");
-        {
-            let (mut wal, _, _) = Wal::open(&path).unwrap();
-            for record in sample_records() {
-                wal.append(&record).unwrap();
+        // A line whose digest holds but whose kind this build does not
+        // write: the shape of an older log's `health` line.
+        let json = r#"{"kind":"health","tenant":"acme","channel":7,"state":"quarantined"}"#;
+        let unknown = format!("{:016x} {json}\n", digest(json));
+        for flip in [true, false] {
+            let _ = std::fs::remove_file(&path);
+            {
+                let (mut wal, _, _) = Wal::open(&path).unwrap();
+                for record in sample_records() {
+                    wal.append(&record).unwrap();
+                }
             }
+            let mut bytes = std::fs::read(&path).unwrap();
+            // Record 2 goes bad (lines 0 and 1 intact): a bit flipped
+            // inside its JSON, or the whole line swapped for the
+            // unknown kind.
+            let ends: Vec<usize> = bytes
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| b == b'\n')
+                .map(|(i, _)| i + 1)
+                .collect();
+            if flip {
+                bytes[ends[1] + 29] ^= 0x08;
+            } else {
+                bytes.splice(ends[1]..ends[2], unknown.bytes());
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let (_, replay, dropped) = Wal::open(&path).unwrap();
+            assert_eq!(replay, sample_records()[..2].to_vec());
+            assert_eq!(dropped, 2, "the bad record and everything after it");
         }
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Corrupt a byte inside record 2's JSON (lines 0 and 1 intact).
-        let second_line_end = bytes
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b == b'\n')
-            .map(|(i, _)| i)
-            .nth(1)
-            .unwrap();
-        bytes[second_line_end + 30] ^= 0x08;
-        std::fs::write(&path, &bytes).unwrap();
-        let (_, replay, dropped) = Wal::open(&path).unwrap();
-        assert_eq!(replay, sample_records()[..2].to_vec());
-        assert_eq!(dropped, 2, "the corrupt record and everything after it");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -408,21 +379,16 @@ mod tests {
             let tenant: String = (0..rng.below(12))
                 .map(|_| char::from_u32(0x20 + rng.below(0x250) as u32).unwrap_or('x'))
                 .collect();
-            let record = match rng.below(3) {
+            let record = match rng.below(2) {
                 0 => WalRecord::Apply {
                     tenant,
                     channel: rng.below(8) as usize,
                     ps: rng.below(1000) as f64 * 0.125,
                 },
-                1 => WalRecord::Dedup {
+                _ => WalRecord::Dedup {
                     tenant,
                     req_id: format!("r-{}", rng.next_u64()),
                     response: "{\"a\":\"b \\\" c\\n\"}".to_owned(),
-                },
-                _ => WalRecord::Health {
-                    tenant,
-                    channel: rng.below(8) as usize,
-                    state: ChannelState::Recovering { rounds: rng.below(5) as u32 },
                 },
             };
             let line = record.to_line();

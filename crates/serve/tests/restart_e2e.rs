@@ -2,8 +2,8 @@
 //! directory survives an unclean restart — snapshots restore the
 //! calibration banks, the WAL replays programmed state and the dedup
 //! window, the epoch bumps, and every answer after the restart is
-//! byte-identical to the answer before it. Eviction and clean drains
-//! persist channel health, so a quarantined channel stays out of
+//! byte-identical to the answer before it. A health transition saves
+//! the channel's snapshot, so a quarantined channel stays out of
 //! service across a restart instead of silently re-admitting itself.
 
 use std::io::{BufRead, BufReader, Write};
@@ -223,112 +223,123 @@ fn warm_restart_replays_the_wal_and_answers_byte_identically() {
 }
 
 /// Health state is part of the durable record: a quarantined channel
-/// stays quarantined through LRU eviction (the evicted hook persists
-/// its state) and through a full restart (the snapshot restores it),
-/// rather than silently re-entering service on a fresh health table.
+/// stays quarantined through LRU eviction and through a restart (the
+/// snapshot restores it), rather than silently re-entering service on a
+/// fresh health table. The transition itself saves the snapshot, so the
+/// quarantine holds after an eviction and a clean drain, and after a
+/// crash-shaped stop with no eviction and no compaction.
 #[test]
 fn quarantine_survives_eviction_and_restart() {
     vardelay_faults::set_enabled(true);
-    let dir = scratch("quarantine");
-    let mut config = durable_config(&dir);
-    config.workers = 1;
-    config.shards = 1;
-    config.max_banks = 1;
-    config.health_period = Some(Duration::from_millis(25));
-    config.recalibrate = false; // quarantine is sticky, like the soak gate's red leg
-    let handle = serve(config).expect("bind");
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    for crash in [false, true] {
+        let dir = scratch(if crash {
+            "quarantine_crash"
+        } else {
+            "quarantine"
+        });
+        let mut config = durable_config(&dir);
+        config.workers = 1;
+        config.shards = 1;
+        config.max_banks = 1;
+        config.health_period = Some(Duration::from_millis(25));
+        config.recalibrate = false; // quarantine is sticky, like the soak gate's red leg
+        let handle = serve(config).expect("bind");
+        let mut client = Client::connect(handle.addr()).expect("connect");
 
-    // Build the tenant's bank, drift it grossly, wait for quarantine.
-    let (_, response) = client
-        .call(
-            &envelope(
-                1,
-                Request::SetDelay {
-                    channel: 3,
-                    ps: 50.0,
-                },
+        // Build the tenant's bank, drift it grossly, wait for quarantine.
+        let (_, response) = client
+            .call(
+                &envelope(
+                    1,
+                    Request::SetDelay {
+                        channel: 3,
+                        ps: 50.0,
+                    },
+                )
+                .for_tenant("t-q"),
             )
-            .for_tenant("t-q"),
-        )
-        .expect("a response");
-    assert!(matches!(response, Response::Delay(_)), "{response:?}");
-    assert!(handle.inject_drift("t-q", 3, 40.0), "drift must land");
-    let deadline = Instant::now() + WAIT;
-    while handle.channel_state("t-q", 3) != ChannelState::Quarantined {
-        assert!(Instant::now() < deadline, "never quarantined");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    // Evict t-q by touching another tenant through the cap-1 registry;
-    // the eviction hook snapshots the table *and* the health state.
-    let (_, response) = client
-        .call(
-            &envelope(
-                2,
-                Request::SetDelay {
-                    channel: 0,
-                    ps: 30.0,
-                },
-            )
-            .for_tenant("t-b"),
-        )
-        .expect("a response");
-    assert!(matches!(response, Response::Delay(_)), "{response:?}");
-
-    let (_, response) = client.call(&envelope(3, Request::Shutdown)).expect("drain");
-    assert_eq!(response, Response::Draining);
-    handle.join();
-
-    // Restart with the supervisor off: whatever health the snapshots
-    // restore is exactly what admission must enforce.
-    let mut config = durable_config(&dir);
-    config.workers = 1;
-    config.max_banks = 8;
-    let handle = serve(config).expect("bind warm");
-    assert_eq!(
-        handle.channel_state("t-q", 3),
-        ChannelState::Quarantined,
-        "the restart forgot the quarantine"
-    );
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let (_, response) = client
-        .call(
-            &envelope(
-                4,
-                Request::SetDelay {
-                    channel: 3,
-                    ps: 50.0,
-                },
-            )
-            .for_tenant("t-q"),
-        )
-        .expect("a response");
-    match response {
-        Response::Error(err) => {
-            assert_eq!(err.kind, ErrorKind::Unavailable, "{err:?}");
-            assert!(err.detail.contains("quarantined"), "{}", err.detail);
+            .expect("a response");
+        assert!(matches!(response, Response::Delay(_)), "{response:?}");
+        assert!(handle.inject_drift("t-q", 3, 40.0), "drift must land");
+        let deadline = Instant::now() + WAIT;
+        while handle.channel_state("t-q", 3) != ChannelState::Quarantined {
+            assert!(Instant::now() < deadline, "never quarantined");
+            std::thread::sleep(Duration::from_millis(5));
         }
-        other => panic!("quarantined channel served after restart: {other:?}"),
-    }
-    // Its healthy neighbors are back in service from the same snapshot.
-    let (_, response) = client
-        .call(
-            &envelope(
-                5,
-                Request::SetDelay {
-                    channel: 0,
-                    ps: 30.0,
-                },
-            )
-            .for_tenant("t-q"),
-        )
-        .expect("a response");
-    assert!(matches!(response, Response::Delay(_)), "{response:?}");
 
-    handle.shutdown();
-    handle.join();
-    let _ = std::fs::remove_dir_all(&dir);
+        if crash {
+            stop_without_compaction(handle, &mut client, 3);
+        } else {
+            // Evict t-q by touching another tenant through the cap-1
+            // registry, then drain cleanly.
+            let (_, response) = client
+                .call(
+                    &envelope(
+                        2,
+                        Request::SetDelay {
+                            channel: 0,
+                            ps: 30.0,
+                        },
+                    )
+                    .for_tenant("t-b"),
+                )
+                .expect("a response");
+            assert!(matches!(response, Response::Delay(_)), "{response:?}");
+            let (_, response) = client.call(&envelope(3, Request::Shutdown)).expect("drain");
+            assert_eq!(response, Response::Draining);
+            handle.join();
+        }
+
+        // Restart with the supervisor off: whatever health the snapshots
+        // restore is exactly what admission must enforce.
+        let mut config = durable_config(&dir);
+        config.workers = 1;
+        config.max_banks = 8;
+        let handle = serve(config).expect("bind warm");
+        assert_eq!(
+            handle.channel_state("t-q", 3),
+            ChannelState::Quarantined,
+            "the restart forgot the quarantine (crash-shaped stop: {crash})"
+        );
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let (_, response) = client
+            .call(
+                &envelope(
+                    4,
+                    Request::SetDelay {
+                        channel: 3,
+                        ps: 50.0,
+                    },
+                )
+                .for_tenant("t-q"),
+            )
+            .expect("a response");
+        match response {
+            Response::Error(err) => {
+                assert_eq!(err.kind, ErrorKind::Unavailable, "{err:?}");
+                assert!(err.detail.contains("quarantined"), "{}", err.detail);
+            }
+            other => panic!("quarantined channel served after restart: {other:?}"),
+        }
+        // Its healthy neighbors are back in service from the same snapshot.
+        let (_, response) = client
+            .call(
+                &envelope(
+                    5,
+                    Request::SetDelay {
+                        channel: 0,
+                        ps: 30.0,
+                    },
+                )
+                .for_tenant("t-q"),
+            )
+            .expect("a response");
+        assert!(matches!(response, Response::Delay(_)), "{response:?}");
+
+        handle.shutdown();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The backend identity is part of the snapshot fingerprint: a warm
